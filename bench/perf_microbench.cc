@@ -19,7 +19,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <unordered_map>
 
 #include <unistd.h>
 
@@ -178,33 +177,6 @@ BM_ItemLookupDense(benchmark::State &state)
 BENCHMARK(BM_ItemLookupDense);
 
 void
-BM_ItemLookupHashMap(benchmark::State &state)
-{
-    // Reference point: the unordered_map the engine used before the
-    // dense table, rebuilt here so the two structures answer the same
-    // queries over the same stream.
-    CompressorConfig config;
-    config.scheme = Scheme::Nibble;
-    config.maxEntries = 8192;
-    CompressedImage image = compressProgram(ijpeg(), config);
-    DecompressionEngine engine(image);
-    std::unordered_map<uint32_t, uint32_t> by_addr;
-    const std::vector<DecodedItem> &items = engine.items();
-    for (uint32_t i = 0; i < items.size(); ++i)
-        by_addr.emplace(items[i].nibbleAddr, i);
-    std::vector<uint32_t> addrs = shuffledItemAddrs(engine);
-    for (auto _ : state) {
-        uint64_t sink = 0;
-        for (uint32_t addr : addrs)
-            sink += by_addr.at(addr);
-        benchmark::DoNotOptimize(sink);
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(addrs.size()));
-}
-BENCHMARK(BM_ItemLookupHashMap);
-
-void
 BM_HuffmanDecodeSameText(benchmark::State &state)
 {
     // The CCRP-style comparison point: per-bit entropy decoding.
@@ -266,22 +238,19 @@ BM_CompressedExecution(benchmark::State &state)
 BENCHMARK(BM_CompressedExecution)->Arg(0)->Arg(1)->Arg(2);
 
 void
-BM_EnumerateSharded(benchmark::State &state)
+BM_Enumerate(benchmark::State &state)
 {
-    // Candidate enumeration -- the dictionary-building hot loop --
-    // sharded across the worker pool at the given job count.
-    setGlobalJobs(static_cast<unsigned>(state.range(0)));
+    // Candidate enumeration -- the dictionary-building hot loop.
     const Program &program = ijpeg();
     Cfg cfg = Cfg::build(program);
     for (auto _ : state) {
         auto candidates = enumerateCandidates(program, cfg, 1, 4);
         benchmark::DoNotOptimize(candidates.size());
     }
-    setGlobalJobs(0);
     state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                             ijpeg().textBytes());
 }
-BENCHMARK(BM_EnumerateSharded)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_Enumerate);
 
 /** Wall time in ms to compress every suite program at @p jobs. */
 double
@@ -329,46 +298,33 @@ reportSuiteSpeedup()
 void
 reportItemLookup()
 {
-    // One PERF_JSON line pinning the itemAt fast path: dense
-    // nibble->index table vs the hash map it replaced, same shuffled
-    // query stream.
+    // One PERF_JSON line pinning the itemAt fast path: the dense
+    // nibble->index table over a shuffled query stream.
     CompressorConfig config;
     config.scheme = Scheme::Nibble;
     config.maxEntries = 8192;
     CompressedImage image = compressProgram(ijpeg(), config);
     DecompressionEngine engine(image);
-    std::unordered_map<uint32_t, uint32_t> by_addr;
-    const std::vector<DecodedItem> &items = engine.items();
-    for (uint32_t i = 0; i < items.size(); ++i)
-        by_addr.emplace(items[i].nibbleAddr, i);
     std::vector<uint32_t> addrs = shuffledItemAddrs(engine);
 
     constexpr int rounds = 200;
-    auto time_ns_per_lookup = [&addrs](auto &&lookup) {
-        uint64_t sink = 0;
-        for (uint32_t addr : addrs) // warm
-            sink += lookup(addr);
-        auto start = std::chrono::steady_clock::now();
-        for (int r = 0; r < rounds; ++r)
-            for (uint32_t addr : addrs)
-                sink += lookup(addr);
-        auto end = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(sink);
-        return std::chrono::duration<double, std::nano>(end - start)
-                   .count() /
-               (static_cast<double>(rounds) * addrs.size());
-    };
-    double dense_ns = time_ns_per_lookup(
-        [&engine](uint32_t addr) { return engine.itemIndexAt(addr); });
-    double hash_ns = time_ns_per_lookup(
-        [&by_addr](uint32_t addr) { return by_addr.at(addr); });
-    std::printf("item lookup (%zu items, shuffled): dense %.2f ns, "
-                "hash map %.2f ns, speedup %.2fx\n",
-                addrs.size(), dense_ns, hash_ns, hash_ns / dense_ns);
+    uint64_t sink = 0;
+    for (uint32_t addr : addrs) // warm
+        sink += engine.itemIndexAt(addr);
+    auto start = std::chrono::steady_clock::now();
+    for (int r = 0; r < rounds; ++r)
+        for (uint32_t addr : addrs)
+            sink += engine.itemIndexAt(addr);
+    auto end = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(sink);
+    double dense_ns =
+        std::chrono::duration<double, std::nano>(end - start).count() /
+        (static_cast<double>(rounds) * addrs.size());
+    std::printf("item lookup (%zu items, shuffled): dense %.2f ns\n",
+                addrs.size(), dense_ns);
     std::printf("PERF_JSON: {\"bench\":\"item_lookup\","
-                "\"items\":%zu,\"dense_ns\":%.3f,\"hash_ns\":%.3f,"
-                "\"speedup\":%.3f}\n",
-                addrs.size(), dense_ns, hash_ns, hash_ns / dense_ns);
+                "\"items\":%zu,\"dense_ns\":%.3f}\n",
+                addrs.size(), dense_ns);
 }
 
 void
@@ -415,8 +371,7 @@ void
 reportExpandCache()
 {
     // PERF_JSON line for the pre-decoded entry cache: expanding every
-    // codeword in the stream through decodedEntry() (a cache walk) vs
-    // re-running isa::decode per slot (what step() used to do).
+    // codeword in the stream through decodedEntry() (a cache walk).
     CompressorConfig config;
     config.scheme = Scheme::Nibble;
     config.maxEntries = 8192;
@@ -428,47 +383,32 @@ reportExpandCache()
             ranks.push_back(item.rank);
 
     constexpr int rounds = 200;
-    size_t insns = 0;
-    auto time_ns_per_inst = [&](auto &&expand) {
-        uint64_t sink = 0;
-        insns = 0;
-        for (uint32_t rank : ranks) // warm, and count the slots
-            insns += expand(rank, sink);
-        auto start = std::chrono::steady_clock::now();
-        for (int r = 0; r < rounds; ++r)
-            for (uint32_t rank : ranks)
-                expand(rank, sink);
-        auto end = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(sink);
-        return std::chrono::duration<double, std::nano>(end - start)
-                   .count() /
-               (static_cast<double>(rounds) * insns);
+    uint64_t sink = 0;
+    auto expand = [&engine, &sink](uint32_t rank) {
+        DecodedEntry entry = engine.decodedEntry(rank);
+        for (const isa::Inst &inst : entry)
+            sink += static_cast<uint64_t>(inst.op);
+        return entry.size();
     };
+    size_t insns = 0;
+    for (uint32_t rank : ranks) // warm, and count the slots
+        insns += expand(rank);
+    auto start = std::chrono::steady_clock::now();
+    for (int r = 0; r < rounds; ++r)
+        for (uint32_t rank : ranks)
+            expand(rank);
+    auto end = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(sink);
     double cached_ns =
-        time_ns_per_inst([&engine](uint32_t rank, uint64_t &sink) {
-            DecodedEntry entry = engine.decodedEntry(rank);
-            for (const isa::Inst &inst : entry)
-                sink += static_cast<uint64_t>(inst.op);
-            return entry.size();
-        });
-    double decode_ns =
-        time_ns_per_inst([&engine](uint32_t rank, uint64_t &sink) {
-            const std::vector<isa::Word> &entry = engine.entry(rank);
-            for (isa::Word word : entry)
-                sink += static_cast<uint64_t>(isa::decode(word).op);
-            return entry.size();
-        });
+        std::chrono::duration<double, std::nano>(end - start).count() /
+        (static_cast<double>(rounds) * insns);
     std::printf("codeword expansion (%zu codewords, %zu insts): "
-                "cached %.2f ns/inst, isa::decode %.2f ns/inst, "
-                "speedup %.2fx\n",
-                ranks.size(), insns, cached_ns, decode_ns,
-                decode_ns / cached_ns);
+                "cached %.2f ns/inst\n",
+                ranks.size(), insns, cached_ns);
     std::printf("PERF_JSON: {\"bench\":\"expand_cache\","
                 "\"codewords\":%zu,\"insts\":%zu,"
-                "\"cached_ns\":%.3f,\"decode_ns\":%.3f,"
-                "\"speedup\":%.3f}\n",
-                ranks.size(), insns, cached_ns, decode_ns,
-                decode_ns / cached_ns);
+                "\"cached_ns\":%.3f}\n",
+                ranks.size(), insns, cached_ns);
 }
 
 void

@@ -102,6 +102,17 @@ parseSelection(ByteSource &source)
     return cached;
 }
 
+/** The store file of one product: enum-<key>.cce or sel-<key>.cce. */
+std::string
+entryPath(const std::string &dir, bool enumerate, uint64_t key)
+{
+    char name[40];
+    std::snprintf(name, sizeof(name), "%s-%016llx.cce",
+                  enumerate ? "enum" : "sel",
+                  static_cast<unsigned long long>(key));
+    return (std::filesystem::path(dir) / name).string();
+}
+
 } // namespace
 
 std::vector<uint8_t>
@@ -176,71 +187,120 @@ PipelineCache::selectKey(uint64_t programHash,
 }
 
 std::shared_ptr<const PipelineCache::CandidateList>
-PipelineCache::findCandidates(uint64_t key)
+PipelineCache::findCandidates(uint64_t key, Claim &claim)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    EntryKey entryKey{static_cast<uint8_t>(Kind::Enumerate), key};
-    auto it = entries_.find(entryKey);
-    if (it != entries_.end()) {
-        ++stats_.enumHits;
-        touchLocked(it->second, entryKey);
-        return it->second.candidates;
-    }
-    Entry loaded;
-    if (loadFromDiskLocked(Kind::Enumerate, key, loaded)) {
-        ++stats_.enumHits;
-        std::shared_ptr<const CandidateList> product = loaded.candidates;
-        insertLocked(Kind::Enumerate, key, std::move(loaded));
-        return product;
-    }
-    ++stats_.enumMisses;
-    return nullptr;
+    return lookup(Kind::Enumerate, key, claim).candidates;
 }
 
 std::shared_ptr<const CachedSelection>
-PipelineCache::findSelection(uint64_t key)
+PipelineCache::findSelection(uint64_t key, Claim &claim)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    EntryKey entryKey{static_cast<uint8_t>(Kind::Select), key};
-    auto it = entries_.find(entryKey);
-    if (it != entries_.end()) {
-        ++stats_.selectHits;
-        touchLocked(it->second, entryKey);
-        return it->second.selection;
-    }
-    Entry loaded;
-    if (loadFromDiskLocked(Kind::Select, key, loaded)) {
-        ++stats_.selectHits;
-        std::shared_ptr<const CachedSelection> product = loaded.selection;
-        insertLocked(Kind::Select, key, std::move(loaded));
-        return product;
-    }
-    ++stats_.selectMisses;
-    return nullptr;
+    return lookup(Kind::Select, key, claim).selection;
 }
 
 void
-PipelineCache::storeCandidates(
-    uint64_t key, std::shared_ptr<const CandidateList> candidates)
+PipelineCache::store(Claim &claim,
+                     std::shared_ptr<const CandidateList> candidates)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    Entry entry;
-    entry.bytes = approxCandidateBytes(*candidates);
-    entry.candidates = std::move(candidates);
-    persistLocked(Kind::Enumerate, key, entry);
-    insertLocked(Kind::Enumerate, key, std::move(entry));
+    resolve(claim, {std::move(candidates), nullptr}, true);
 }
 
 void
-PipelineCache::storeSelection(
-    uint64_t key, std::shared_ptr<const CachedSelection> selection)
+PipelineCache::store(Claim &claim,
+                     std::shared_ptr<const CachedSelection> selection)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    Entry entry;
-    entry.bytes = approxSelectionBytes(*selection);
-    entry.selection = std::move(selection);
-    persistLocked(Kind::Select, key, entry);
-    insertLocked(Kind::Select, key, std::move(entry));
+    resolve(claim, {nullptr, std::move(selection)}, true);
+}
+
+PipelineCache::Product
+PipelineCache::lookup(Kind kind, uint64_t key, Claim &claim)
+{
+    CC_ASSERT(!claim, "lookup into a claim that already owns a key");
+    EntryKey entryKey{static_cast<uint8_t>(kind), key};
+    bool enumerate = kind == Kind::Enumerate;
+    uint64_t &hits = enumerate ? stats_.enumHits : stats_.selectHits;
+    uint64_t &misses = enumerate ? stats_.enumMisses : stats_.selectMisses;
+
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+        auto it = entries_.find(entryKey);
+        if (it != entries_.end()) {
+            ++hits;
+            touchLocked(it->second, entryKey);
+            return it->second.product;
+        }
+        auto flight = inFlight_.find(entryKey);
+        if (flight == inFlight_.end())
+            break;
+        std::shared_future<Product> pending = flight->second;
+        lock.unlock();
+        Product product = pending.get();
+        lock.lock();
+        if (product) {
+            ++hits;
+            return product;
+        }
+        // The claimant dropped its claim: look again, and claim the
+        // key unless another waiter already has.
+    }
+
+    claim.cache_ = this;
+    claim.entryKey_ = entryKey;
+    claim.promise_ = std::promise<Product>();
+    inFlight_.emplace(entryKey, claim.promise_.get_future().share());
+    if (diskDir_.empty()) {
+        ++misses;
+        return {};
+    }
+    lock.unlock();
+    Product loaded;
+    DiskRead read = loadFromDisk(diskDir_, kind, key, loaded);
+    lock.lock();
+    if (read == DiskRead::Loaded) {
+        ++hits;
+        ++stats_.persistHits;
+        lock.unlock();
+        resolve(claim, loaded, false);
+        return loaded;
+    }
+    ++misses;
+    ++(read == DiskRead::Corrupt ? stats_.persistCorrupt
+                                 : stats_.persistMisses);
+    return {};
+}
+
+void
+PipelineCache::resolve(Claim &claim, Product product, bool persistIt)
+{
+    CC_ASSERT(claim.cache_ == this, "store without a claim");
+    EntryKey entryKey = claim.entryKey_;
+    Kind kind = static_cast<Kind>(entryKey.first);
+    // Persist before publishing: while the claim is held no other
+    // thread of this process can read or write the key's file.
+    bool persisted = product && persistIt && !diskDir_.empty() &&
+                     persist(diskDir_, kind, entryKey.second, product);
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (persisted)
+            ++stats_.persistStores;
+        inFlight_.erase(entryKey);
+        if (product) {
+            Entry entry;
+            entry.product = product;
+            entry.bytes = kind == Kind::Enumerate
+                              ? approxCandidateBytes(*product.candidates)
+                              : approxSelectionBytes(*product.selection);
+            insertLocked(entryKey, std::move(entry));
+        }
+    }
+    claim.cache_ = nullptr;
+    claim.promise_.set_value(std::move(product));
+}
+
+PipelineCache::Claim::~Claim()
+{
+    if (cache_)
+        cache_->resolve(*this, {}, false);
 }
 
 void
@@ -255,7 +315,6 @@ PipelineCache::setCapacity(size_t maxEntries, uint64_t maxBytes)
 bool
 PipelineCache::setDiskStore(const std::string &dir)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     if (ec || !std::filesystem::is_directory(dir)) {
@@ -284,12 +343,11 @@ PipelineCache::stats() const
 }
 
 void
-PipelineCache::insertLocked(Kind kind, uint64_t key, Entry entry)
+PipelineCache::insertLocked(EntryKey entryKey, Entry entry)
 {
-    EntryKey entryKey{static_cast<uint8_t>(kind), key};
     auto [it, inserted] = entries_.emplace(entryKey, std::move(entry));
     if (!inserted)
-        return; // first store wins; concurrent fills are identical
+        return; // first store wins; both products are identical
     lru_.push_front(entryKey);
     it->second.lruIt = lru_.begin();
     totalBytes_ += it->second.bytes;
@@ -319,25 +377,14 @@ PipelineCache::evictLocked()
     }
 }
 
-std::string
-PipelineCache::entryPath(Kind kind, uint64_t key) const
+bool
+PipelineCache::persist(const std::string &dir, Kind kind, uint64_t key,
+                       const Product &product) const
 {
-    char name[40];
-    std::snprintf(name, sizeof(name), "%s-%016llx.cce",
-                  kind == Kind::Enumerate ? "enum" : "sel",
-                  static_cast<unsigned long long>(key));
-    return (std::filesystem::path(diskDir_) / name).string();
-}
-
-void
-PipelineCache::persistLocked(Kind kind, uint64_t key, const Entry &entry)
-{
-    if (diskDir_.empty())
-        return;
-    std::string path = entryPath(kind, key);
+    std::string path = entryPath(dir, kind == Kind::Enumerate, key);
     std::error_code ec;
     if (std::filesystem::exists(path, ec))
-        return; // an identical product is already on disk
+        return false; // an identical product is already on disk
 
     ByteSink sink;
     sink.put32(kStoreMagic);
@@ -345,8 +392,8 @@ PipelineCache::persistLocked(Kind kind, uint64_t key, const Entry &entry)
     sink.put8(static_cast<uint8_t>(kind));
     sink.put64(key);
     std::vector<uint8_t> payload =
-        kind == Kind::Enumerate ? serializeCandidates(*entry.candidates)
-                                : serializeSelection(*entry.selection);
+        kind == Kind::Enumerate ? serializeCandidates(*product.candidates)
+                                : serializeSelection(*product.selection);
     uint64_t checksum = fnv1a64(payload);
     sink.putBlob(payload);
     sink.put64(checksum);
@@ -357,29 +404,26 @@ PipelineCache::persistLocked(Kind kind, uint64_t key, const Entry &entry)
     if (tryWriteFile(temp, sink.bytes())) {
         CC_WARN("cache store write failed for '", temp,
                 "'; entry not persisted");
-        return;
+        return false;
     }
     std::filesystem::rename(temp, path, ec);
     if (ec) {
         CC_WARN("cache store rename failed for '", path, "': ",
                 ec.message());
         std::filesystem::remove(temp, ec);
-        return;
+        return false;
     }
-    ++stats_.persistStores;
+    return true;
 }
 
-bool
-PipelineCache::loadFromDiskLocked(Kind kind, uint64_t key, Entry &out)
+PipelineCache::DiskRead
+PipelineCache::loadFromDisk(const std::string &dir, Kind kind, uint64_t key,
+                            Product &out) const
 {
-    if (diskDir_.empty())
-        return false;
-    std::string path = entryPath(kind, key);
+    std::string path = entryPath(dir, kind == Kind::Enumerate, key);
     Result<std::vector<uint8_t>> bytes = tryReadFile(path);
-    if (!bytes.ok()) {
-        ++stats_.persistMisses;
-        return false;
-    }
+    if (!bytes.ok())
+        return DiskRead::Absent;
     try {
         ByteSource source(bytes.value());
         source.setContext("cache entry header");
@@ -403,37 +447,27 @@ PipelineCache::loadFromDiskLocked(Kind kind, uint64_t key, Entry &out)
             throw LoadFailure({LoadStatus::BadChecksum, 0,
                                "cache entry payload", path});
         ByteSource body(payload);
-        if (kind == Kind::Enumerate) {
+        if (kind == Kind::Enumerate)
             out.candidates = std::make_shared<const CandidateList>(
                 parseCandidates(body));
-            out.bytes = approxCandidateBytes(*out.candidates);
-        } else {
+        else
             out.selection = std::make_shared<const CachedSelection>(
                 parseSelection(body));
-            out.bytes = approxSelectionBytes(*out.selection);
-        }
         if (!body.atEnd())
             throw LoadFailure({LoadStatus::TrailingBytes, body.pos(),
                                "cache entry payload", path});
     } catch (const std::exception &) {
         // Damaged entry (LoadFailure, or bad_alloc from an absurd
-        // declared count): quarantine it so the slot recomputes
-        // cleanly (and the file stays inspectable), count it, miss.
-        quarantineLocked(path);
-        ++stats_.persistCorrupt;
-        return false;
+        // declared count): quarantine it so the key recomputes cleanly
+        // (and the file stays inspectable), and read it as a miss.
+        out = {};
+        std::error_code ec;
+        std::filesystem::rename(path, path + ".quarantined", ec);
+        if (ec)
+            std::filesystem::remove(path, ec);
+        return DiskRead::Corrupt;
     }
-    ++stats_.persistHits;
-    return true;
-}
-
-void
-PipelineCache::quarantineLocked(const std::string &path)
-{
-    std::error_code ec;
-    std::filesystem::rename(path, path + ".quarantined", ec);
-    if (ec)
-        std::filesystem::remove(path, ec);
+    return DiskRead::Loaded;
 }
 
 } // namespace codecomp::compress

@@ -17,9 +17,23 @@
  * scheme-independent, so one enumeration serves all schemes and
  * strategies of a program -- the common sweep shape. Values are
  * shared_ptr-to-const: readers on any thread hold the product alive
- * without copying it; lookups and stores take one mutex (the products
- * are large and computed rarely, so contention is negligible next to
- * the work saved).
+ * without copying it.
+ *
+ * Lookups are single-flight. The first lookup of a key claims it: it
+ * receives a Claim and must compute the product and store() it. A
+ * lookup that finds the key claimed waits for that product and counts
+ * as a hit, so concurrent duplicates compute each product once and the
+ * hit/miss counts depend on the job list alone, not on scheduling. A
+ * claim dropped without a store (its owner threw or stopped early)
+ * releases the key, and one waiter claims it and recomputes.
+ *
+ * Lock order: a pipeline claims its Select key before it looks up its
+ * Enumerate key, and never waits on a Select key while it holds an
+ * Enumerate claim. A thread waiting on a Select key holds no claim; a
+ * thread waiting on an Enumerate key holds at most a Select claim,
+ * while the Enumerate owner it waits on computes and waits for
+ * nothing. So no wait cycle can form. mutex_ guards only the maps and
+ * counters: no wait, computation or disk I/O happens under it.
  *
  * Two robustness layers sit on top of the in-memory map:
  *
@@ -31,10 +45,12 @@
  *    file -- temp-file + atomic rename, a versioned header, and an
  *    FNV-1a64 payload checksum. In-memory misses fall back to disk,
  *    so a warm directory survives process restarts (and is how the
- *    farm's isolated workers share work). A corrupt, truncated, or
- *    version-skewed file is detected by the checksum/structure checks,
- *    quarantined (renamed *.quarantined), and silently recomputed:
- *    damage can degrade throughput but can never alter a result.
+ *    farm's isolated workers share work). Only the claimant of a key
+ *    reads and writes its file, so no two threads of a process touch
+ *    one file at once. A corrupt, truncated, or version-skewed file is
+ *    detected by the checksum/structure checks, quarantined (renamed
+ *    *.quarantined), and silently recomputed: damage can degrade
+ *    throughput but can never alter a result.
  *
  * A PipelineCache is attached to a compression through
  * PipelineContext::cache (pipeline.hh); a null cache leaves the
@@ -44,6 +60,7 @@
 #ifndef CODECOMP_COMPRESS_CACHE_HH
 #define CODECOMP_COMPRESS_CACHE_HH
 
+#include <future>
 #include <list>
 #include <map>
 #include <memory>
@@ -99,18 +116,24 @@ class PipelineCache
     static uint64_t selectKey(uint64_t programHash,
                               const CompressorConfig &config);
 
-    /** Cached candidates for @p key, or null on a miss (counted). */
-    std::shared_ptr<const CandidateList> findCandidates(uint64_t key);
+    class Claim;
 
-    /** Cached selection for @p key, or null on a miss (counted). */
-    std::shared_ptr<const CachedSelection> findSelection(uint64_t key);
+    /** Cached candidates for @p key (a hit, possibly after waiting for
+     *  another claimant). Null on a miss, which leaves @p claim owning
+     *  the key: compute the product and store() it. */
+    std::shared_ptr<const CandidateList> findCandidates(uint64_t key,
+                                                        Claim &claim);
 
-    /** Store a product; the first store for a key wins and later ones
-     *  are dropped (concurrent fills compute identical values). */
-    void storeCandidates(uint64_t key,
-                         std::shared_ptr<const CandidateList> candidates);
-    void storeSelection(uint64_t key,
-                        std::shared_ptr<const CachedSelection> selection);
+    /** Cached selection for @p key; same contract as findCandidates. */
+    std::shared_ptr<const CachedSelection> findSelection(uint64_t key,
+                                                         Claim &claim);
+
+    /** Publish the product of a claimed miss and release @p claim:
+     *  waiters receive it, and it is inserted and persisted. */
+    void store(Claim &claim,
+               std::shared_ptr<const CandidateList> candidates);
+    void store(Claim &claim,
+               std::shared_ptr<const CachedSelection> selection);
 
     /**
      * Bound the in-memory footprint: at most @p maxEntries products
@@ -128,7 +151,7 @@ class PipelineCache
      * atomic rename; misses fall back to disk. If the directory cannot
      * be created or written the store is disabled with a warning --
      * persistence failures never fail a compression. Returns whether
-     * the store is usable.
+     * the store is usable. Call it before the cache is shared.
      */
     bool setDiskStore(const std::string &dir);
 
@@ -143,33 +166,72 @@ class PipelineCache
     enum class Kind : uint8_t { Enumerate = 1, Select = 2 };
     using EntryKey = std::pair<uint8_t, uint64_t>; //!< (Kind, key)
 
-    struct Entry
+    /** One stage's product; empty when a claim was dropped. */
+    struct Product
     {
         std::shared_ptr<const CandidateList> candidates;
         std::shared_ptr<const CachedSelection> selection;
+
+        explicit operator bool() const { return candidates || selection; }
+    };
+
+    struct Entry
+    {
+        Product product;
         uint64_t bytes = 0;
         std::list<EntryKey>::iterator lruIt;
     };
 
+    /** Hit (possibly after waiting), disk hit, or claimed miss. */
+    Product lookup(Kind kind, uint64_t key, Claim &claim);
+    /** Resolve @p claim with @p product (empty = drop it). */
+    void resolve(Claim &claim, Product product, bool persistIt);
+
     /** Insert (or refresh) under the lock, applying the caps. */
-    void insertLocked(Kind kind, uint64_t key, Entry entry);
+    void insertLocked(EntryKey entryKey, Entry entry);
     void touchLocked(Entry &entry, EntryKey entryKey);
     void evictLocked();
 
-    /** Disk-store paths and I/O; all called under the lock. */
-    std::string entryPath(Kind kind, uint64_t key) const;
-    void persistLocked(Kind kind, uint64_t key, const Entry &entry);
-    bool loadFromDiskLocked(Kind kind, uint64_t key, Entry &out);
-    void quarantineLocked(const std::string &path);
+    /** Disk-store I/O, done by a key's claimant outside the lock. */
+    enum class DiskRead { Absent, Loaded, Corrupt };
+    DiskRead loadFromDisk(const std::string &dir, Kind kind, uint64_t key,
+                          Product &out) const;
+    bool persist(const std::string &dir, Kind kind, uint64_t key,
+                 const Product &product) const;
 
     mutable std::mutex mutex_;
     std::map<EntryKey, Entry> entries_;
+    std::map<EntryKey, std::shared_future<Product>> inFlight_;
     std::list<EntryKey> lru_; //!< front = most recently used
     uint64_t totalBytes_ = 0;
     size_t maxEntries_ = 0;  //!< 0 = unlimited
     uint64_t maxBytes_ = 0;  //!< 0 = unlimited
     std::string diskDir_;    //!< "" = no persistent store
     Stats stats_;
+
+  public:
+    /**
+     * Ownership of one claimed key, from a missed lookup until the
+     * product is stored. Destroying an unresolved claim releases the
+     * key so a waiter can recompute it. A default Claim owns nothing.
+     */
+    class Claim
+    {
+      public:
+        Claim() = default;
+        Claim(const Claim &) = delete;
+        Claim &operator=(const Claim &) = delete;
+        ~Claim();
+
+        /** True while this claim owns a key. */
+        explicit operator bool() const { return cache_ != nullptr; }
+
+      private:
+        friend class PipelineCache;
+        PipelineCache *cache_ = nullptr;
+        EntryKey entryKey_{};
+        std::promise<Product> promise_;
+    };
 };
 
 /** @{ Serialized form of the cached products -- the payload of the

@@ -1,94 +1,10 @@
 #include "compress/candidates.hh"
 
 #include <algorithm>
-#include <string>
-#include <unordered_map>
 
 #include "support/logging.hh"
-#include "support/thread_pool.hh"
 
 namespace codecomp::compress {
-
-namespace {
-
-/** Hash key for one instruction sequence: cheap hashing, no custom
- *  hasher. */
-std::u32string
-keyOf(const std::vector<isa::Word> &seq)
-{
-    std::u32string key;
-    key.reserve(seq.size());
-    for (isa::Word word : seq)
-        key.push_back(static_cast<char32_t>(word));
-    return key;
-}
-
-/**
- * Enumerate the candidates of blocks [firstBlock, endBlock) into a
- * private vector. Within one shard, candidates appear in serial scan
- * order and each position list is sorted ascending.
- */
-std::vector<Candidate>
-enumerateShard(const Program &program, const std::vector<bool> &eligible,
-               const std::vector<InstRange> &blocks, size_t firstBlock,
-               size_t endBlock, uint32_t minLen, uint32_t maxLen)
-{
-    std::unordered_map<std::u32string, uint32_t> index;
-    std::vector<Candidate> candidates;
-
-    for (size_t b = firstBlock; b < endBlock; ++b) {
-        const InstRange &block = blocks[b];
-        for (uint32_t start = block.first;
-             start < block.first + block.count; ++start) {
-            std::u32string key;
-            for (uint32_t len = 1; len <= maxLen; ++len) {
-                uint32_t pos = start + len - 1;
-                if (pos >= block.first + block.count || !eligible[pos])
-                    break;
-                key.push_back(static_cast<char32_t>(program.text[pos]));
-                if (len < minLen)
-                    continue;
-                auto [it, inserted] = index.try_emplace(
-                    key, static_cast<uint32_t>(candidates.size()));
-                if (inserted) {
-                    Candidate cand;
-                    cand.seq.assign(program.text.begin() + start,
-                                    program.text.begin() + start + len);
-                    candidates.push_back(std::move(cand));
-                }
-                candidates[it->second].positions.push_back(start);
-            }
-        }
-    }
-    return candidates;
-}
-
-/**
- * Partition blocks into at most @p jobs contiguous shards of roughly
- * equal instruction count. Shard boundaries fall on block boundaries,
- * so no candidate is split (sequences never cross blocks).
- */
-std::vector<std::pair<size_t, size_t>>
-shardBlocks(const std::vector<InstRange> &blocks, unsigned jobs)
-{
-    size_t total = 0;
-    for (const InstRange &block : blocks)
-        total += block.count;
-    std::vector<std::pair<size_t, size_t>> shards;
-    size_t target = (total + jobs - 1) / jobs;
-    size_t begin = 0, weight = 0;
-    for (size_t b = 0; b < blocks.size(); ++b) {
-        weight += blocks[b].count;
-        if (weight >= target || b + 1 == blocks.size()) {
-            shards.emplace_back(begin, b + 1);
-            begin = b + 1;
-            weight = 0;
-        }
-    }
-    return shards;
-}
-
-} // namespace
 
 std::vector<bool>
 eligibilityMask(const Program &program)
@@ -106,57 +22,69 @@ enumerateCandidates(const Program &program, const Cfg &cfg, uint32_t minLen,
                     uint32_t maxLen)
 {
     CC_ASSERT(minLen >= 1 && minLen <= maxLen, "bad candidate lengths");
+    const std::vector<isa::Word> &text = program.text;
     std::vector<bool> eligible = eligibilityMask(program);
-    const std::vector<InstRange> &blocks = cfg.blocks();
-    if (blocks.empty())
-        return {};
 
-    unsigned jobs = static_cast<unsigned>(
-        std::min<size_t>(globalJobs(), blocks.size()));
-    std::vector<std::pair<size_t, size_t>> shards =
-        shardBlocks(blocks, std::max(jobs, 1u));
-
-    std::vector<std::vector<Candidate>> local(shards.size());
-    globalPool().parallelFor(shards.size(), [&](size_t s) {
-        local[s] = enumerateShard(program, eligible, blocks,
-                                  shards[s].first, shards[s].second,
-                                  minLen, maxLen);
-    });
-
-    // Merge shard results in shard order. Shards cover ascending
-    // instruction ranges, so appending position lists in shard order
-    // keeps every candidate's positions sorted.
-    std::unordered_map<std::u32string, uint32_t> index;
-    std::vector<Candidate> merged;
-    for (std::vector<Candidate> &shard : local) {
-        for (Candidate &cand : shard) {
-            auto [it, inserted] = index.try_emplace(
-                keyOf(cand.seq), static_cast<uint32_t>(merged.size()));
-            if (inserted) {
-                merged.push_back(std::move(cand));
-                continue;
-            }
-            std::vector<uint32_t> &positions =
-                merged[it->second].positions;
-            CC_ASSERT(positions.back() < cand.positions.front(),
-                      "shard positions out of order");
-            positions.insert(positions.end(), cand.positions.begin(),
-                             cand.positions.end());
+    // reach[start]: the longest window at start -- the run of eligible
+    // instructions from start to the end of its block, capped at maxLen.
+    std::vector<uint32_t> reach(text.size());
+    size_t windows = 0;
+    for (const InstRange &block : cfg.blocks()) {
+        uint32_t run = 0;
+        for (uint32_t pos = block.first + block.count; pos-- > block.first;) {
+            run = eligible[pos] ? std::min(run + 1, maxLen) : 0;
+            reach[pos] = run;
+            windows += run >= minLen ? run - minLen + 1 : 0;
         }
     }
 
-    // Restore the serial scan's candidate order -- ascending first
-    // occurrence, then length -- so selection sees an identical input
-    // (and produces identical output) for any job count. (first
-    // occurrence, length) identifies a candidate uniquely, so this
-    // order is total and needs no stable sort.
-    std::sort(merged.begin(), merged.end(),
-              [](const Candidate &a, const Candidate &b) {
-                  if (a.positions.front() != b.positions.front())
-                      return a.positions.front() < b.positions.front();
-                  return a.seq.size() < b.seq.size();
-              });
-    return merged;
+    // Pass 1: group the windows. A candidate is created at its first
+    // occurrence, so ids come out in scan order; ids[w] is window w's.
+    struct Group
+    {
+        uint64_t hash;
+        uint32_t first, length, count;
+    };
+    std::vector<Group> groups;
+    std::vector<uint32_t> ids;
+    ids.reserve(windows);
+    SequenceTable table(windows);
+    for (uint32_t start = 0; start < text.size(); ++start) {
+        uint64_t hash = SequenceTable::kEmptyHash;
+        for (uint32_t len = 1; len <= reach[start]; ++len) {
+            hash = SequenceTable::extend(hash, text[start + len - 1]);
+            if (len < minLen)
+                continue;
+            uint32_t id = table.findOrInsert(
+                hash, static_cast<uint32_t>(groups.size()),
+                [&](uint32_t other) {
+                    const Group &g = groups[other];
+                    return g.hash == hash && g.length == len &&
+                           std::equal(text.begin() + g.first,
+                                      text.begin() + g.first + len,
+                                      text.begin() + start);
+                });
+            if (id == groups.size())
+                groups.push_back({hash, start, len, 0});
+            ++groups[id].count;
+            ids.push_back(id);
+        }
+    }
+
+    // Pass 2: every position list at its exact size, filled in
+    // ascending start order.
+    std::vector<Candidate> candidates(groups.size());
+    for (size_t id = 0; id < groups.size(); ++id) {
+        const Group &g = groups[id];
+        candidates[id].seq.assign(text.begin() + g.first,
+                                  text.begin() + g.first + g.length);
+        candidates[id].positions.reserve(g.count);
+    }
+    const uint32_t *id = ids.data();
+    for (uint32_t start = 0; start < text.size(); ++start)
+        for (uint32_t len = minLen; len <= reach[start]; ++len)
+            candidates[*id++].positions.push_back(start);
+    return candidates;
 }
 
 uint32_t

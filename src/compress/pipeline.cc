@@ -486,16 +486,18 @@ passEnumerate(PipelineContext &ctx)
 {
     if (ctx.cache) {
         // A cached Select product supersedes enumeration: nothing
-        // downstream of Select reads the candidates.
+        // downstream of Select reads the candidates. The Select key is
+        // claimed before the Enumerate key (the lock order, cache.hh).
         ctx.cachedSelection = ctx.cache->findSelection(
-            PipelineCache::selectKey(ctx.programHash, ctx.config));
+            PipelineCache::selectKey(ctx.programHash, ctx.config),
+            ctx.selectClaim);
         if (ctx.cachedSelection) {
             ctx.counter("select_cache_hit", 1);
             return;
         }
-        uint64_t key =
-            PipelineCache::enumerateKey(ctx.programHash, ctx.config);
-        ctx.sharedCandidates = ctx.cache->findCandidates(key);
+        ctx.sharedCandidates = ctx.cache->findCandidates(
+            PipelineCache::enumerateKey(ctx.programHash, ctx.config),
+            ctx.enumerateClaim);
         if (ctx.sharedCandidates) {
             ctx.counter("enumerate_cache_hit", 1);
             ctx.counter("candidates", ctx.sharedCandidates->size());
@@ -508,14 +510,12 @@ passEnumerate(PipelineContext &ctx)
                             ctx.greedy.maxEntryLen);
     ctx.counter("blocks", ctx.cfg->blocks().size());
     ctx.counter("candidates", ctx.candidates.size());
-    if (ctx.cache) {
+    if (ctx.enumerateClaim) {
         auto computed = std::make_shared<PipelineCache::CandidateList>(
             std::move(ctx.candidates));
         ctx.candidates.clear();
         ctx.sharedCandidates = computed;
-        ctx.cache->storeCandidates(
-            PipelineCache::enumerateKey(ctx.programHash, ctx.config),
-            std::move(computed));
+        ctx.cache->store(ctx.enumerateClaim, std::move(computed));
     }
 }
 
@@ -530,13 +530,11 @@ passSelect(PipelineContext &ctx)
                                              ctx.candidateList(),
                                              ctx.greedy,
                                              ctx.config.scheme);
-        if (ctx.cache) {
+        if (ctx.selectClaim) {
             auto computed = std::make_shared<CachedSelection>();
             computed->selection = ctx.selection;
             computed->rounds = ctx.strategy->rounds();
-            ctx.cache->storeSelection(
-                PipelineCache::selectKey(ctx.programHash, ctx.config),
-                std::move(computed));
+            ctx.cache->store(ctx.selectClaim, std::move(computed));
         }
     }
     ctx.counter("entries", ctx.selection.dict.entries.size());

@@ -101,6 +101,10 @@ struct PipelineContext
      */
     PipelineCache *cache = nullptr;
     uint64_t programHash = 0;
+    /** Keys this compression claimed on a cache miss and must store;
+     *  destroying the context releases any it did not. */
+    PipelineCache::Claim selectClaim;
+    PipelineCache::Claim enumerateClaim;
 
     // ---- pass products ----
     std::optional<Cfg> cfg;            //!< Enumerate

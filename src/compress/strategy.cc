@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "compress/greedy.hh"
 #include "support/logging.hh"
@@ -11,18 +11,6 @@
 namespace codecomp::compress {
 
 namespace {
-
-/** Hash key for one instruction sequence (same scheme as the candidate
- *  index in candidates.cc: no custom hasher needed). */
-std::u32string
-keyOf(const std::vector<isa::Word> &seq)
-{
-    std::u32string key;
-    key.reserve(seq.size());
-    for (isa::Word word : seq)
-        key.push_back(static_cast<char32_t>(word));
-    return key;
-}
 
 class GreedyStrategy : public SelectionStrategy
 {
@@ -163,11 +151,12 @@ class IterativeRefitStrategy : public SelectionStrategy
                      const SelectionResult &previous, Scheme scheme)
     {
         std::vector<uint32_t> rank_of_entry = rankByUseCount(previous);
-        std::unordered_map<std::u32string, uint32_t> rank_of_seq;
-        rank_of_seq.reserve(previous.dict.entries.size());
-        for (uint32_t id = 0; id < previous.dict.entries.size(); ++id)
-            rank_of_seq.emplace(keyOf(previous.dict.entries[id]),
-                                rank_of_entry[id]);
+        const auto &entries = previous.dict.entries;
+        SequenceTable entry_of_seq(entries.size());
+        for (uint32_t id = 0; id < entries.size(); ++id)
+            entry_of_seq.findOrInsert(
+                SequenceTable::hashOf(entries[id]), id,
+                [&](uint32_t other) { return entries[other] == entries[id]; });
 
         // useCount sorted descending IS the rank order; an unselected
         // candidate with occ occurrences would slot in after every
@@ -179,9 +168,11 @@ class IterativeRefitStrategy : public SelectionStrategy
         for (uint32_t id = 0; id < candidates.size(); ++id) {
             const Candidate &cand = candidates[id];
             uint32_t rank;
-            auto it = rank_of_seq.find(keyOf(cand.seq));
-            if (it != rank_of_seq.end()) {
-                rank = it->second;
+            std::optional<uint32_t> entry = entry_of_seq.find(
+                SequenceTable::hashOf(cand.seq),
+                [&](uint32_t other) { return entries[other] == cand.seq; });
+            if (entry) {
+                rank = rank_of_entry[*entry];
             } else {
                 uint32_t occ = countNonOverlapping(
                     cand.positions,

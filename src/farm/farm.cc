@@ -591,8 +591,7 @@ runFarm(const std::vector<FarmJob> &jobs, const FarmOptions &options)
     report.buildMillis = millisSince(buildStart);
 
     // Shard the queue: one pool task per job, results index-addressed
-    // so the report order is the queue order at any pool width. Each
-    // job's own parallel enumeration nests and therefore runs inline.
+    // so the report order is the queue order at any pool width.
     compress::PipelineCache cache;
     if (options.cacheMaxEntries || options.cacheMaxBytes)
         cache.setCapacity(options.cacheMaxEntries, options.cacheMaxBytes);

@@ -8,11 +8,11 @@
  *
  *  - builds each distinct (workload, scale) program exactly once, in
  *    parallel on the global worker pool;
- *  - shards the job queue across the same pool (one task per job; a
- *    job's own candidate enumeration then runs inline, so the pool is
- *    never re-entered concurrently);
- *  - deduplicates Enumerate/Select work through a shared PipelineCache
- *    (compress/cache.hh) keyed by program content hash + config --
+ *  - shards the job queue across the same pool (one task per job; each
+ *    job compresses serially inside its task);
+ *  - deduplicates Enumerate/Select work through a shared single-flight
+ *    PipelineCache (compress/cache.hh) keyed by program content hash +
+ *    config, so concurrent duplicates compute each product once --
  *    optionally backed by a crash-safe on-disk store (cacheDir) that
  *    survives across runs and processes;
  *  - streams per-job results (sizes, image bytes + FNV-1a64 digest,

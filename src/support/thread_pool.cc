@@ -11,9 +11,9 @@ namespace codecomp {
 namespace {
 
 /** True while this thread is executing a pool task. Parallel stages
- *  nest (a multi-workload fan-out whose per-program compress shards
- *  candidate enumeration); the inner stage then runs inline on the
- *  already-parallel thread instead of re-entering the pool. */
+ *  may nest (a farm job queue inside a parallel bench harness); the
+ *  inner stage then runs inline on the already-parallel thread
+ *  instead of re-entering the pool. */
 thread_local bool insidePoolTask = false;
 
 } // namespace

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "codegen/codegen.hh"
 #include "compress/compressor.hh"
 #include "compress/greedy.hh"
@@ -84,6 +87,184 @@ TEST(Candidates, SequencesStayInsideBlocks)
                 EXPECT_EQ(program.text[pos + k], cand.seq[k]);
         }
     }
+}
+
+/**
+ * The enumeration oracle: every window of every block, grouped in a
+ * std::map keyed by the sequence itself, then put in scan order (first
+ * occurrence, then length). Slow and obviously right.
+ */
+std::vector<Candidate>
+referenceCandidates(const Program &program, const Cfg &cfg, uint32_t minLen,
+                    uint32_t maxLen)
+{
+    std::vector<bool> eligible = eligibilityMask(program);
+    std::map<std::vector<isa::Word>, std::vector<uint32_t>> groups;
+    for (const InstRange &block : cfg.blocks()) {
+        uint32_t end = block.first + block.count;
+        for (uint32_t start = block.first; start < end; ++start) {
+            for (uint32_t len = minLen;
+                 len <= maxLen && start + len <= end; ++len) {
+                if (!std::all_of(eligible.begin() + start,
+                                 eligible.begin() + start + len,
+                                 [](bool ok) { return ok; }))
+                    break;
+                groups[std::vector<isa::Word>(
+                           program.text.begin() + start,
+                           program.text.begin() + start + len)]
+                    .push_back(start);
+            }
+        }
+    }
+    std::vector<Candidate> candidates;
+    for (auto &[seq, positions] : groups)
+        candidates.push_back({seq, positions});
+    std::sort(candidates.begin(), candidates.end(),
+              [](const Candidate &a, const Candidate &b) {
+                  if (a.positions.front() != b.positions.front())
+                      return a.positions.front() < b.positions.front();
+                  return a.seq.size() < b.seq.size();
+              });
+    return candidates;
+}
+
+/** enumerateCandidates equals the oracle: same order, same sequences,
+ *  same position lists. */
+void
+expectMatchesOracle(const Program &program, uint32_t minLen,
+                    uint32_t maxLen, const std::string &what)
+{
+    Cfg cfg = Cfg::build(program);
+    std::vector<Candidate> got =
+        enumerateCandidates(program, cfg, minLen, maxLen);
+    std::vector<Candidate> want =
+        referenceCandidates(program, cfg, minLen, maxLen);
+    ASSERT_EQ(got.size(), want.size())
+        << what << " lengths " << minLen << ".." << maxLen;
+    for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i].seq, want[i].seq)
+            << what << " lengths " << minLen << ".." << maxLen
+            << " candidate " << i;
+        ASSERT_EQ(got[i].positions, want[i].positions)
+            << what << " lengths " << minLen << ".." << maxLen
+            << " candidate " << i;
+    }
+}
+
+/** A hand-built, finalized program from encoded instructions. */
+Program
+handProgram(const std::vector<isa::Inst> &insts)
+{
+    Program program;
+    for (const isa::Inst &inst : insts)
+        program.text.push_back(isa::encode(inst));
+    program.entryIndex = 0;
+    program.finalize();
+    return program;
+}
+
+const std::pair<uint32_t, uint32_t> kOracleLengths[] = {
+    {1, 1}, {1, 4}, {2, 4}, {1, 8}, {3, 64}};
+
+class EnumerationOracle : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(EnumerationOracle, MatchesReferenceAtScales1And2)
+{
+    for (int scale : {1, 2}) {
+        Program program = workloads::buildBenchmark(GetParam(), scale);
+        for (auto [minLen, maxLen] : kOracleLengths)
+            expectMatchesOracle(program, minLen, maxLen,
+                                GetParam() + " scale " +
+                                    std::to_string(scale));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Workloads, EnumerationOracle,
+                         ::testing::ValuesIn(workloads::benchmarkNames()),
+                         [](const auto &info) { return info.param; });
+
+TEST(Candidates, EqualWindowsInDifferentBlocksShareOneCandidate)
+{
+    // Blocks [0,3] and [4,7] (4 is the branch target) hold the same
+    // three-instruction run; the branch at 3 belongs to no candidate.
+    Program program = handProgram(
+        {isa::li(3, 1), isa::li(4, 2), isa::add(5, 3, 4), isa::b(1),
+         isa::li(3, 1), isa::li(4, 2), isa::add(5, 3, 4), isa::blr()});
+    Cfg cfg = Cfg::build(program);
+    ASSERT_EQ(cfg.blocks().size(), 2u);
+    std::vector<Candidate> candidates =
+        enumerateCandidates(program, cfg, 3, 3);
+    ASSERT_EQ(candidates.size(), 2u); // li,li,add and li,add,blr
+    EXPECT_EQ(candidates[0].positions, (std::vector<uint32_t>{0, 4}));
+    EXPECT_EQ(candidates[1].positions, (std::vector<uint32_t>{5}));
+    for (auto [minLen, maxLen] : kOracleLengths)
+        expectMatchesOracle(program, minLen, maxLen, "two blocks");
+}
+
+TEST(Candidates, RelativeBranchSplitsEqualWindows)
+{
+    // The conditional branch at 2 ends its block and is never part of a
+    // candidate: li,li occurs twice but li,li,bc,li,li occurs nowhere.
+    isa::Inst skip = isa::bc(isa::Bo::IfTrue,
+                             isa::crBit(0, isa::CrBit::Eq), 1);
+    Program program =
+        handProgram({isa::li(3, 1), isa::li(4, 2), skip, isa::li(3, 1),
+                     isa::li(4, 2), isa::blr()});
+    Cfg cfg = Cfg::build(program);
+    std::vector<Candidate> candidates =
+        enumerateCandidates(program, cfg, 1, 8);
+    for (const Candidate &cand : candidates) {
+        EXPECT_LE(cand.seq.size(), 3u);
+        for (isa::Word word : cand.seq)
+            EXPECT_FALSE(isa::decode(word).isRelativeBranch());
+    }
+    for (auto [minLen, maxLen] : kOracleLengths)
+        expectMatchesOracle(program, minLen, maxLen, "split");
+}
+
+TEST(Candidates, WindowsLongerThanTheirBlockAreClipped)
+{
+    // 70 equal instructions in one block: every length 3..64 recurs at
+    // overlapping positions and none grows past maxLen. A two-word
+    // block forms no window longer than itself.
+    std::vector<isa::Inst> insts(70, isa::addi(3, 3, 1));
+    insts.push_back(isa::blr());
+    Program program = handProgram(insts);
+    Cfg cfg = Cfg::build(program);
+    std::vector<Candidate> candidates =
+        enumerateCandidates(program, cfg, 3, 64);
+    ASSERT_EQ(candidates.size(), 62u + 62u); // addi^n and addi^(n-1),blr
+    EXPECT_EQ(candidates[61].seq.size(), 64u);
+    EXPECT_EQ(candidates[61].positions.size(), 70u - 64u + 1u);
+    Program tiny = handProgram({isa::li(3, 1), isa::blr()});
+    EXPECT_TRUE(enumerateCandidates(tiny, Cfg::build(tiny), 3, 8).empty());
+    for (auto [minLen, maxLen] : kOracleLengths)
+        expectMatchesOracle(program, minLen, maxLen, "long run");
+}
+
+TEST(Candidates, SequenceTableNeverMergesOnHashCollision)
+{
+    // Every key hashes alike; only the verification tells them apart.
+    std::vector<std::vector<isa::Word>> seqs = {{1}, {2}, {1, 2}, {2, 1}};
+    SequenceTable table(seqs.size());
+    for (uint32_t id = 0; id < seqs.size(); ++id)
+        EXPECT_EQ(table.findOrInsert(0, id,
+                                     [&](uint32_t other) {
+                                         return seqs[other] == seqs[id];
+                                     }),
+                  id);
+    for (uint32_t id = 0; id < seqs.size(); ++id)
+        EXPECT_EQ(table.find(0, [&](uint32_t other) {
+                      return seqs[other] == seqs[id];
+                  }),
+                  id);
+    std::vector<isa::Word> absent = {3};
+    EXPECT_FALSE(table.find(0, [&](uint32_t other) {
+        return seqs[other] == absent;
+    }));
+    EXPECT_NE(SequenceTable::hashOf({1, 2}), SequenceTable::hashOf({2, 1}));
+    EXPECT_NE(SequenceTable::hashOf({0}), SequenceTable::hashOf({0, 0}));
 }
 
 TEST(Candidates, CountNonOverlapping)

@@ -9,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "compress/cache.hh"
 #include "compress/compressor.hh"
 #include "compress/encoding.hh"
 #include "compress/strategy.hh"
@@ -116,8 +119,8 @@ TEST(Farm, DeterministicAcrossPoolWidthsAndCache)
 TEST(Farm, CacheCountersOnDuplicatesAndSchemeSweeps)
 {
     // Queue: nibble/greedy twice (exact duplicate), onebyte/greedy and
-    // baseline/greedy on the same program. Serially: the first job
-    // misses everything; the duplicate hits the whole selection; the
+    // baseline/greedy on the same program. The first job misses
+    // everything; the duplicate hits the whole selection; the
     // two other schemes miss selection but share the enumeration.
     std::vector<farm::FarmJob> jobs = {
         makeJob("compress", compress::Scheme::Nibble,
@@ -131,18 +134,78 @@ TEST(Farm, CacheCountersOnDuplicatesAndSchemeSweeps)
     };
     jobs[1].id += "#dup";
 
-    setGlobalJobs(1);
-    farm::FarmReport report = farm::runFarm(jobs);
+    // Concurrent duplicates wait for one computation (single-flight),
+    // so every pool width counts exactly what the serial run counts.
+    for (unsigned width : {1u, 2u, 4u, 8u}) {
+        setGlobalJobs(width);
+        farm::FarmReport report = farm::runFarm(jobs);
+        ASSERT_EQ(report.failures(), 0u);
+        EXPECT_EQ(report.cacheStats.selectHits, 1u) << "width " << width;
+        EXPECT_EQ(report.cacheStats.selectMisses, 3u) << "width " << width;
+        EXPECT_EQ(report.cacheStats.enumHits, 2u) << "width " << width;
+        EXPECT_EQ(report.cacheStats.enumMisses, 1u) << "width " << width;
+
+        // The duplicate's image is byte-identical to the original's.
+        EXPECT_EQ(report.results[0].imageBytes,
+                  report.results[1].imageBytes);
+    }
     setGlobalJobs(0);
+}
 
-    ASSERT_EQ(report.failures(), 0u);
-    EXPECT_EQ(report.cacheStats.selectHits, 1u);
-    EXPECT_EQ(report.cacheStats.selectMisses, 3u);
-    EXPECT_EQ(report.cacheStats.enumHits, 2u);
-    EXPECT_EQ(report.cacheStats.enumMisses, 1u);
+TEST(FarmCache, ConcurrentLookupsOfOneKeyComputeOnce)
+{
+    compress::PipelineCache cache;
+    auto product = std::make_shared<const compress::PipelineCache::
+                                        CandidateList>(1);
+    std::vector<std::shared_ptr<const compress::PipelineCache::
+                                    CandidateList>> seen(6);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < seen.size(); ++t) {
+        threads.emplace_back([&, t] {
+            compress::PipelineCache::Claim claim;
+            seen[t] = cache.findCandidates(42, claim);
+            if (claim) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                cache.store(claim, product);
+                seen[t] = product;
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    for (const auto &got : seen)
+        EXPECT_EQ(got, product);
+    EXPECT_EQ(cache.stats().enumMisses, 1u);
+    EXPECT_EQ(cache.stats().enumHits, seen.size() - 1);
+}
 
-    // The duplicate's image is byte-identical to the original's.
-    EXPECT_EQ(report.results[0].imageBytes, report.results[1].imageBytes);
+TEST(FarmCache, DroppedClaimHandsTheKeyToOneWaiter)
+{
+    // The first claimant fails (drops its claim without storing); of
+    // the two lookups that follow, exactly one recomputes.
+    compress::PipelineCache cache;
+    auto product = std::make_shared<const compress::CachedSelection>();
+    std::vector<std::thread> waiters;
+    {
+        compress::PipelineCache::Claim owner;
+        ASSERT_EQ(cache.findSelection(7, owner), nullptr);
+        ASSERT_TRUE(owner);
+        for (int w = 0; w < 2; ++w) {
+            waiters.emplace_back([&] {
+                compress::PipelineCache::Claim claim;
+                if (!cache.findSelection(7, claim))
+                    cache.store(claim, product);
+            });
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    for (std::thread &thread : waiters)
+        thread.join();
+    EXPECT_EQ(cache.stats().selectMisses, 2u);
+    EXPECT_EQ(cache.stats().selectHits, 1u);
+    compress::PipelineCache::Claim late;
+    EXPECT_EQ(cache.findSelection(7, late), product);
+    EXPECT_FALSE(late);
 }
 
 TEST(Farm, CacheOffRecordsNoActivity)

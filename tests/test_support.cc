@@ -185,8 +185,8 @@ TEST(ThreadPool, PoolIsReusableAfterException)
 
 TEST(ThreadPool, NestedParallelForRunsInline)
 {
-    // A parallel stage may itself invoke a parallel stage (suite
-    // fan-out -> per-program candidate sharding); the inner one must
+    // A parallel stage may itself invoke a parallel stage (a bench
+    // fan-out -> a farm job queue); the inner one must
     // run inline rather than deadlocking on the busy pool.
     setGlobalJobs(4);
     std::atomic<int> inner{0};

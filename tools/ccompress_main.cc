@@ -24,11 +24,17 @@
  *
  * --stats-json writes a JSON array with one record per input: sizes,
  * ratio, and the pipeline's per-pass wall time and counters.
+ *
+ * --max-len takes 1..64 (a farm job spec's "max_len" range) and
+ * --max-entries 1..the scheme's codeword count; anything else,
+ * including "8abc" or "1e3", is a usage error (exit 1).
  */
 
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -213,12 +219,19 @@ run(int argc, char **argv)
             config.strategy =
                 compress::parseStrategyNameOrFatal(argv[++i]);
         } else if (arg == "--max-entries" && i + 1 < argc) {
-            maxEntriesArg = std::atol(argv[++i]);
+            std::optional<long> entries =
+                tools::parseLongArg(argv[++i], 1, UINT32_MAX);
+            if (!entries)
+                return badArg("--max-entries '%s' is not a number in "
+                              "1..%u", argv[i], UINT32_MAX);
+            maxEntriesArg = *entries;
         } else if (arg == "--max-len" && i + 1 < argc) {
-            long len = std::atol(argv[++i]);
-            if (len < 1)
-                return badArg("--max-len must be at least 1");
-            config.maxEntryLen = static_cast<uint32_t>(len);
+            // The bound matches a farm job spec's "max_len".
+            std::optional<long> len = tools::parseLongArg(argv[++i], 1, 64);
+            if (!len)
+                return badArg("--max-len '%s' is not a number in 1..64",
+                              argv[i]);
+            config.maxEntryLen = static_cast<uint32_t>(*len);
         } else if (arg == "--jobs" && i + 1 < argc) {
             int jobs = std::atoi(argv[++i]);
             if (jobs < 1)

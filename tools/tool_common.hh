@@ -20,8 +20,11 @@
 #ifndef CODECOMP_TOOLS_TOOL_COMMON_HH
 #define CODECOMP_TOOLS_TOOL_COMMON_HH
 
+#include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <exception>
+#include <optional>
 
 #include "decompress/fault.hh"
 #include "support/logging.hh"
@@ -59,6 +62,22 @@ runTool(const char *name, Body &&body)
         std::fprintf(stderr, "%s: %s\n", name, error.what());
         return exitUserError;
     }
+}
+
+/**
+ * @p text as a decimal integer in [@p min, @p max], or nullopt when it
+ * is malformed ("8abc", "1e3", "", "+8") or out of range. The whole
+ * string must be the number.
+ */
+inline std::optional<long>
+parseLongArg(const char *text, long min, long max)
+{
+    long value = 0;
+    const char *end = text + std::strlen(text);
+    auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc() || ptr != end || value < min || value > max)
+        return std::nullopt;
+    return value;
 }
 
 } // namespace codecomp::tools
