@@ -54,7 +54,7 @@ selectByStaticRank(const Program &program, const GreedyConfig &config)
     std::sort(ranked.begin(), ranked.end());
 
     SelectionResult result;
-    std::vector<bool> consumed(program.text.size(), false);
+    std::vector<uint8_t> consumed(program.text.size(), 0);
     for (const auto &[neg, id] : ranked) {
         if (result.dict.entries.size() >= config.maxEntries)
             break;
@@ -66,23 +66,11 @@ selectByStaticRank(const Program &program, const GreedyConfig &config)
             continue;
         uint32_t entry_id =
             static_cast<uint32_t>(result.dict.entries.size());
-        uint32_t count = 0;
-        uint64_t next_free = 0;
-        for (uint32_t pos : cand.positions) {
-            if (pos < next_free)
-                continue;
-            bool blocked = false;
-            for (uint32_t i = pos; i < pos + length; ++i)
-                if (consumed[i])
-                    blocked = true;
-            if (blocked)
-                continue;
-            for (uint32_t i = pos; i < pos + length; ++i)
-                consumed[i] = true;
-            result.placements.push_back({pos, length, entry_id});
-            ++count;
-            next_free = static_cast<uint64_t>(pos) + length;
-        }
+        uint32_t count = forEachNonOverlapping(
+            cand.positions, length, consumed, [&](uint32_t pos) {
+                std::fill_n(consumed.begin() + pos, length, 1);
+                result.placements.push_back({pos, length, entry_id});
+            });
         result.dict.entries.push_back(cand.seq);
         result.useCount.push_back(count);
     }

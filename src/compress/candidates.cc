@@ -89,10 +89,21 @@ enumerateCandidates(const Program &program, const Cfg &cfg, uint32_t minLen,
 
 uint32_t
 countNonOverlapping(const std::vector<uint32_t> &positions, uint32_t length,
-                    const std::vector<bool> &consumed)
+                    const std::vector<uint8_t> &consumed)
 {
     return forEachNonOverlapping(positions, length, consumed,
                                  [](uint32_t) {});
+}
+
+std::vector<uint32_t>
+standaloneCounts(const std::vector<Candidate> &candidates)
+{
+    std::vector<uint32_t> counts(candidates.size());
+    for (size_t id = 0; id < candidates.size(); ++id)
+        counts[id] = countNonOverlapping(
+            candidates[id].positions,
+            static_cast<uint32_t>(candidates[id].seq.size()), {});
+    return counts;
 }
 
 } // namespace codecomp::compress

@@ -129,14 +129,14 @@ std::vector<Candidate> enumerateCandidates(const Program &program,
 /**
  * Walk the maximal set of non-overlapping occurrences from the sorted
  * position list of a sequence of @p length, skipping any occurrence
- * whose span touches a true bit of @p consumed (pass an empty mask to
- * treat everything as live). Calls fn(pos) for each chosen occurrence
+ * whose span touches a nonzero byte of @p consumed (pass an empty mask
+ * to treat everything as live). Calls fn(pos) for each chosen occurrence
  * and returns how many were chosen.
  *
  * This is the single definition of "live occurrences": greedy
  * acceptance (greedy.cc) and savings re-evaluation
  * (countNonOverlapping) both walk through here, so the savings cached
- * in the selection heap can never disagree with the placements that
+ * by the greedy picker can never disagree with the placements that
  * acceptance actually emits. fn may mark the chosen span in @p
  * consumed: chosen spans end before the next position considered, so
  * such marks never affect the remainder of the same walk.
@@ -144,7 +144,7 @@ std::vector<Candidate> enumerateCandidates(const Program &program,
 template <typename Fn>
 uint32_t
 forEachNonOverlapping(const std::vector<uint32_t> &positions, uint32_t length,
-                      const std::vector<bool> &consumed, Fn &&fn)
+                      const std::vector<uint8_t> &consumed, Fn &&fn)
 {
     uint32_t count = 0;
     uint64_t next_free = 0;
@@ -172,7 +172,12 @@ forEachNonOverlapping(const std::vector<uint32_t> &positions, uint32_t length,
 /** forEachNonOverlapping with no per-occurrence action: just the count. */
 uint32_t countNonOverlapping(const std::vector<uint32_t> &positions,
                              uint32_t length,
-                             const std::vector<bool> &consumed);
+                             const std::vector<uint8_t> &consumed);
+
+/** Each candidate's standalone count: countNonOverlapping(positions,
+ *  length, {}), the live occurrences before anything is selected. */
+std::vector<uint32_t>
+standaloneCounts(const std::vector<Candidate> &candidates);
 
 } // namespace codecomp::compress
 

@@ -3,12 +3,14 @@
  * Greedy dictionary selection (paper section 3.1.1).
  *
  * Optimal dictionary choice is NP-complete [Storer77]; like the paper we
- * pick greedily by immediate savings. The production implementation uses
- * a lazy max-heap: replacing a sequence can only *destroy* occurrences of
- * other candidates (codeword tokens can never re-create an instruction
+ * pick greedily by immediate savings. The production implementation pops
+ * lazily: replacing a sequence can only *destroy* occurrences of other
+ * candidates (codeword tokens can never re-create an instruction
  * pattern), so a candidate's savings only ever decreases and lazy
- * revalidation at pop time is exact, not a heuristic. A naive reference
- * implementation is provided for differential testing.
+ * revalidation at pop time is exact, not a heuristic. The initial
+ * savings are counting-sorted into one run; only entries whose savings
+ * dropped are re-pushed, into a small max-heap beside it. A naive
+ * reference implementation is provided for differential testing.
  *
  * Both algorithms run over a pre-enumerated candidate list (the
  * pipeline's Enumerate pass), and both accept an optional per-candidate
@@ -20,6 +22,8 @@
 #ifndef CODECOMP_COMPRESS_GREEDY_HH
 #define CODECOMP_COMPRESS_GREEDY_HH
 
+#include <functional>
+
 #include "compress/candidates.hh"
 #include "compress/selection.hh"
 #include "program/program.hh"
@@ -27,18 +31,21 @@
 namespace codecomp::compress {
 
 /**
- * Lazy-heap greedy selection over pre-enumerated @p candidates.
+ * Lazy greedy selection over pre-enumerated @p candidates.
  * @p textSize is the instruction count of the program's .text (the
  * span of the consumed-slot mask). @p codewordCosts, when non-empty,
  * gives the assumed codeword cost in nibbles per candidate and must
  * have one element per candidate; empty means
- * config.codewordNibbles for every candidate.
+ * config.codewordNibbles for every candidate. @p standalone, when
+ * non-empty, holds standaloneCounts(candidates), so callers that run
+ * several rounds count once; empty means count here.
  */
 SelectionResult
 selectGreedyFromCandidates(size_t textSize,
                            const std::vector<Candidate> &candidates,
                            const GreedyConfig &config,
-                           const std::vector<uint32_t> &codewordCosts = {});
+                           const std::vector<uint32_t> &codewordCosts = {},
+                           const std::vector<uint32_t> &standalone = {});
 
 /** Reference implementation over pre-enumerated candidates: recompute
  *  every candidate's savings from scratch each round. Same tie-breaking
@@ -48,12 +55,21 @@ SelectionResult selectGreedyReferenceFromCandidates(
     const GreedyConfig &config,
     const std::vector<uint32_t> &codewordCosts = {});
 
-/** Enumerate + lazy-heap greedy selection over @p program. */
+/** The from-scratch greedy loop under any objective: each round,
+ *  accept the lowest id with the largest positive score(id, consumed)
+ *  until none is positive or @p maxEntries are chosen. */
+SelectionResult selectByScore(
+    size_t textSize, const std::vector<Candidate> &candidates,
+    uint32_t maxEntries,
+    const std::function<int64_t(uint32_t, const std::vector<uint8_t> &)>
+        &score);
+
+/** Enumerate + lazy greedy selection over @p program. */
 SelectionResult selectGreedy(const Program &program,
                              const GreedyConfig &config);
 
 /** Enumerate + reference greedy selection over @p program; used by
- *  tests to prove the lazy heap exact. */
+ *  tests to prove the lazy picker exact. */
 SelectionResult selectGreedyReference(const Program &program,
                                       const GreedyConfig &config);
 

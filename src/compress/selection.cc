@@ -16,6 +16,14 @@ greedyConfigError(const GreedyConfig &config)
         return "minEntryLen (" + std::to_string(config.minEntryLen) +
                ") exceeds maxEntryLen (" +
                std::to_string(config.maxEntryLen) + ")";
+    // The nibble costs bound the largest savings, which sizes greedy's
+    // counting sort; the schemes use at most 16.
+    if (config.insnNibbles == 0)
+        return "insnNibbles must be at least 1";
+    if (std::max({config.insnNibbles, config.codewordNibbles,
+                  config.dictEntryNibbles, config.dictEntryExtraNibbles}) >
+        64)
+        return "nibble costs must be at most 64";
     // maxEntries == 0 is deliberately legal: an empty budget means
     // pass-through (no compression), which tests and ablations rely on.
     return "";

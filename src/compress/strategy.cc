@@ -84,8 +84,9 @@ class IterativeRefitStrategy : public SelectionStrategy
     select(size_t textSize, const std::vector<Candidate> &candidates,
            const GreedyConfig &config, Scheme scheme) override
     {
-        SelectionResult best =
-            selectGreedyFromCandidates(textSize, candidates, config);
+        std::vector<uint32_t> standalone = standaloneCounts(candidates);
+        SelectionResult best = selectGreedyFromCandidates(
+            textSize, candidates, config, {}, standalone);
         uint64_t best_estimate =
             estimateSelectionNibbles(best, config, scheme, textSize);
         rounds_ = 1;
@@ -96,8 +97,8 @@ class IterativeRefitStrategy : public SelectionStrategy
                 break;
             GreedyConfig biased = config;
             biased.codewordNibbles = width;
-            SelectionResult result =
-                selectGreedyFromCandidates(textSize, candidates, biased);
+            SelectionResult result = selectGreedyFromCandidates(
+                textSize, candidates, biased, {}, standalone);
             uint64_t estimate =
                 estimateSelectionNibbles(result, config, scheme, textSize);
             ++rounds_;
@@ -110,9 +111,9 @@ class IterativeRefitStrategy : public SelectionStrategy
 
         while (budget > 0) {
             std::vector<uint32_t> costs =
-                rankDerivedCosts(candidates, best, scheme);
+                rankDerivedCosts(candidates, standalone, best, scheme);
             SelectionResult result = selectGreedyFromCandidates(
-                textSize, candidates, config, costs);
+                textSize, candidates, config, costs, standalone);
             uint64_t estimate =
                 estimateSelectionNibbles(result, config, scheme, textSize);
             ++rounds_;
@@ -144,10 +145,11 @@ class IterativeRefitStrategy : public SelectionStrategy
 
     /** True per-candidate codeword costs under @p previous's frequency
      *  ranking: actual rank width for previously selected sequences,
-     *  predicted rank width (by standalone occurrence count) for the
-     *  rest. */
+     *  predicted rank width (by its @p standalone occurrence count)
+     *  for the rest. */
     static std::vector<uint32_t>
     rankDerivedCosts(const std::vector<Candidate> &candidates,
+                     const std::vector<uint32_t> &standalone,
                      const SelectionResult &previous, Scheme scheme)
     {
         std::vector<uint32_t> rank_of_entry = rankByUseCount(previous);
@@ -174,12 +176,9 @@ class IterativeRefitStrategy : public SelectionStrategy
             if (entry) {
                 rank = rank_of_entry[*entry];
             } else {
-                uint32_t occ = countNonOverlapping(
-                    cand.positions,
-                    static_cast<uint32_t>(cand.seq.size()), {});
                 rank = static_cast<uint32_t>(
-                    std::upper_bound(by_rank.begin(), by_rank.end(), occ,
-                                     std::greater<>()) -
+                    std::upper_bound(by_rank.begin(), by_rank.end(),
+                                     standalone[id], std::greater<>()) -
                     by_rank.begin());
                 // A full dictionary predicts one-past-the-last rank;
                 // price it like the widest real codeword.
@@ -250,7 +249,7 @@ strategySummary(StrategyKind kind)
 {
     switch (kind) {
       case StrategyKind::Greedy:
-        return "lazy-heap greedy at the scheme's assumed codeword cost";
+        return "lazy greedy at the scheme's assumed codeword cost";
       case StrategyKind::GreedyReference:
         return "naive from-scratch greedy oracle (differential anchor)";
       case StrategyKind::IterativeRefit:
@@ -302,54 +301,23 @@ selectByTraffic(const Program &program,
     // Dynamic nibbles saved by one occurrence per execution; the whole
     // sequence executes together (single basic block), so its count is
     // the count of its first instruction.
-    auto traffic_savings = [&](const Candidate &cand,
-                               const std::vector<bool> &consumed) {
-        uint32_t length = static_cast<uint32_t>(cand.seq.size());
-        int64_t per_exec =
-            static_cast<int64_t>(config.insnNibbles) * length -
-            static_cast<int64_t>(config.codewordNibbles);
-        int64_t total = 0;
-        forEachNonOverlapping(cand.positions, length, consumed,
-                              [&](uint32_t pos) {
-                                  total += per_exec *
-                                           static_cast<int64_t>(
-                                               execCount[pos]);
-                              });
-        return total;
-    };
-
-    SelectionResult result;
-    std::vector<bool> consumed(program.text.size(), false);
-    while (result.dict.entries.size() < config.maxEntries) {
-        int64_t best = 0;
-        uint32_t best_id = UINT32_MAX;
-        for (uint32_t id = 0; id < candidates.size(); ++id) {
-            int64_t savings = traffic_savings(candidates[id], consumed);
-            if (savings > best) {
-                best = savings;
-                best_id = id;
-            }
-        }
-        if (best_id == UINT32_MAX)
-            break;
-        const Candidate &cand = candidates[best_id];
-        uint32_t length = static_cast<uint32_t>(cand.seq.size());
-        uint32_t entry_id =
-            static_cast<uint32_t>(result.dict.entries.size());
-        uint32_t uses = forEachNonOverlapping(
-            cand.positions, length, consumed, [&](uint32_t pos) {
-                for (uint32_t i = pos; i < pos + length; ++i)
-                    consumed[i] = true;
-                result.placements.push_back({pos, length, entry_id});
-            });
-        result.dict.entries.push_back(cand.seq);
-        result.useCount.push_back(uses);
-    }
-    std::sort(result.placements.begin(), result.placements.end(),
-              [](const Placement &a, const Placement &b) {
-                  return a.start < b.start;
-              });
-    return result;
+    return selectByScore(
+        program.text.size(), candidates, config.maxEntries,
+        [&](uint32_t id, const std::vector<uint8_t> &consumed) {
+            const Candidate &cand = candidates[id];
+            uint32_t length = static_cast<uint32_t>(cand.seq.size());
+            int64_t per_exec =
+                static_cast<int64_t>(config.insnNibbles) * length -
+                static_cast<int64_t>(config.codewordNibbles);
+            int64_t total = 0;
+            forEachNonOverlapping(cand.positions, length, consumed,
+                                  [&](uint32_t pos) {
+                                      total += per_exec *
+                                               static_cast<int64_t>(
+                                                   execCount[pos]);
+                                  });
+            return total;
+        });
 }
 
 uint64_t

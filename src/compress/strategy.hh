@@ -8,7 +8,7 @@
  * bits depending on the entry's final frequency rank (DESIGN.md section
  * 5.3). A strategy object turns that choice into a policy:
  *
- *  - Greedy:          the production lazy-heap greedy at the scheme's
+ *  - Greedy:          the production lazy greedy at the scheme's
  *                     assumed cost (exact greedy, fast).
  *  - GreedyReference: the O(candidates x selections) oracle with the
  *                     same tie-breaking; differential-testing anchor.
@@ -42,7 +42,7 @@
 namespace codecomp::compress {
 
 enum class StrategyKind : uint8_t {
-    Greedy,          //!< lazy-heap greedy, assumed codeword cost
+    Greedy,          //!< lazy greedy, assumed codeword cost
     GreedyReference, //!< naive from-scratch greedy oracle
     IterativeRefit,  //!< rank-aware cost refit loop around greedy
 };

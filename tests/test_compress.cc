@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the compression core: candidate enumeration, greedy
- * selection (including lazy-heap vs reference equivalence), codeword
+ * selection (including lazy picker vs reference equivalence), codeword
  * encodings, layout/branch patching, and full execution equivalence of
  * compressed programs on the CompressedCpu.
  */
@@ -15,6 +15,7 @@
 #include "compress/compressor.hh"
 #include "compress/greedy.hh"
 #include "compress/objfile.hh"
+#include "compress/pipeline.hh"
 #include "isa/builder.hh"
 #include "decompress/compressed_cpu.hh"
 #include "decompress/cpu.hh"
@@ -275,8 +276,8 @@ TEST(Candidates, CountNonOverlapping)
     EXPECT_EQ(countNonOverlapping(pos, 1, {}), 4u);
     EXPECT_EQ(countNonOverlapping(pos, 9, {}), 2u);
 
-    std::vector<bool> consumed(16, false);
-    consumed[11] = true; // kills the occurrence at 10 for length 2
+    std::vector<uint8_t> consumed(16, 0);
+    consumed[11] = 1; // kills the occurrence at 10 for length 2
     EXPECT_EQ(countNonOverlapping(pos, 2, consumed), 2u);
 }
 
@@ -321,7 +322,7 @@ TEST(Greedy, PlacementsAreValid)
 
 TEST(Greedy, LazyHeapMatchesReference)
 {
-    // The lazy heap must be *exactly* the greedy algorithm, not an
+    // The lazy picker must be *exactly* the greedy algorithm, not an
     // approximation (DESIGN.md section 5.2).
     Program program = smallProgram();
     for (uint32_t max_len : {1u, 2u, 4u, 8u}) {
@@ -340,9 +341,9 @@ TEST(Greedy, LazyHeapMatchesReference)
 TEST(Greedy, StaleHeapReevaluationMatchesReference)
 {
     // Dense prefix/suffix overlap between candidates: accepting any
-    // top candidate destroys occurrences of many others, so the heap
+    // top candidate destroys occurrences of many others, so the picker
     // repeatedly pops entries with stale cached savings and must
-    // re-evaluate and re-push them. The lazy heap and the from-scratch
+    // re-evaluate and re-push them. The lazy picker and the from-scratch
     // reference must still agree exactly, and acceptance (which shares
     // forEachNonOverlapping with re-evaluation) must never trip the
     // "no live occurrences" assert.
@@ -379,6 +380,110 @@ TEST(Greedy, RespectsLengthLimit)
     SelectionResult sel = selectGreedy(program, config);
     for (const auto &entry : sel.dict.entries)
         EXPECT_LE(entry.size(), 2u);
+}
+
+/** The greedy picker and the from-scratch reference agree exactly. */
+void
+expectGreedyMatchesReference(size_t textSize,
+                             const std::vector<Candidate> &candidates,
+                             const GreedyConfig &config,
+                             const std::vector<uint32_t> &costs,
+                             const std::string &what)
+{
+    SelectionResult fast =
+        selectGreedyFromCandidates(textSize, candidates, config, costs);
+    SelectionResult slow = selectGreedyReferenceFromCandidates(
+        textSize, candidates, config, costs);
+    EXPECT_EQ(fast.dict.entries, slow.dict.entries) << what;
+    EXPECT_EQ(fast.placements, slow.placements) << what;
+    EXPECT_EQ(fast.useCount, slow.useCount) << what;
+}
+
+class GreedyOracle : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(GreedyOracle, MatchesReferenceUnderEveryCodecAndCost)
+{
+    // Every codec's derived config, each uniform codeword width, and a
+    // per-candidate cost vector of the shape refit passes. A budget of
+    // 96 entries keeps the O(candidates x selections) reference fast.
+    Program program = workloads::buildBenchmark(GetParam());
+    for (Scheme scheme : allSchemes()) {
+        CompressorConfig config;
+        config.scheme = scheme;
+        PipelineContext ctx(program, config);
+        ctx.greedy.maxEntries = 96;
+        passEnumerate(ctx);
+        const std::vector<Candidate> &candidates = ctx.candidateList();
+        std::string what = GetParam() + " " + schemeName(scheme);
+        expectGreedyMatchesReference(program.text.size(), candidates,
+                                     ctx.greedy, {}, what + " derived");
+        for (uint32_t width = 1; width <= 4; ++width) {
+            GreedyConfig uniform = ctx.greedy;
+            uniform.codewordNibbles = width;
+            expectGreedyMatchesReference(
+                program.text.size(), candidates, uniform, {},
+                what + " width " + std::to_string(width));
+        }
+        Rng rng(0x5eed + static_cast<uint64_t>(scheme));
+        std::vector<uint32_t> costs(candidates.size());
+        for (uint32_t &cost : costs)
+            cost = static_cast<uint32_t>(1 + rng.below(4));
+        expectGreedyMatchesReference(program.text.size(), candidates,
+                                     ctx.greedy, costs, what + " costs");
+    }
+}
+
+TEST_P(GreedyOracle, StandaloneCountsMatchCountNonOverlapping)
+{
+    Program program = workloads::buildBenchmark(GetParam());
+    Cfg cfg = Cfg::build(program);
+    std::vector<Candidate> candidates =
+        enumerateCandidates(program, cfg, 1, 8);
+    std::vector<uint32_t> counts = standaloneCounts(candidates);
+    ASSERT_EQ(counts.size(), candidates.size());
+    for (size_t id = 0; id < candidates.size(); ++id)
+        ASSERT_EQ(counts[id],
+                  countNonOverlapping(
+                      candidates[id].positions,
+                      static_cast<uint32_t>(candidates[id].seq.size()),
+                      {}))
+            << GetParam() << " candidate " << id;
+}
+
+INSTANTIATE_TEST_SUITE_P(Workloads, GreedyOracle,
+                         ::testing::ValuesIn(workloads::benchmarkNames()),
+                         [](const auto &info) { return info.param; });
+
+TEST(Greedy, TiesBreakTowardTheLowerCandidateId)
+{
+    // Single instructions only. li 4 (id 0), li 3 (id 1) and li 5
+    // (id 2) occur three times each and tie on savings; addi occurs
+    // four times, comes last (id 3) and saves the most. The picker
+    // takes savings descending, then ids ascending: addi, li 4, li 3.
+    isa::Inst a = isa::li(4, 2), b = isa::li(3, 1), c = isa::li(5, 3),
+              d = isa::addi(3, 3, 1);
+    Program program = handProgram(
+        {a, b, c, a, b, c, a, b, c, d, d, d, d, isa::blr()});
+    Cfg cfg = Cfg::build(program);
+    std::vector<Candidate> candidates =
+        enumerateCandidates(program, cfg, 1, 1);
+    ASSERT_GE(candidates.size(), 4u);
+    EXPECT_EQ(candidates[3].seq, (std::vector<isa::Word>{isa::encode(d)}));
+    GreedyConfig config;
+    config.maxEntries = 3;
+    config.maxEntryLen = 1;
+    SelectionResult sel = selectGreedyFromCandidates(
+        program.text.size(), candidates, config);
+    std::vector<std::vector<isa::Word>> want = {
+        {isa::encode(d)}, {isa::encode(a)}, {isa::encode(b)}};
+    EXPECT_EQ(sel.dict.entries, want);
+    EXPECT_EQ(sel.useCount, (std::vector<uint32_t>{4, 3, 3}));
+    ASSERT_EQ(sel.placements.size(), 10u);
+    for (size_t i = 1; i < sel.placements.size(); ++i)
+        EXPECT_LT(sel.placements[i - 1].start, sel.placements[i].start);
+    expectGreedyMatchesReference(program.text.size(), candidates, config,
+                                 {}, "ties");
 }
 
 // ---------------- encodings ----------------

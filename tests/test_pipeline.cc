@@ -169,6 +169,58 @@ TEST(PipelineConfig, GreedyConfigErrorMessages)
     EXPECT_EQ(greedyConfigError(no_budget), "");
 }
 
+// The nibble costs bound the greedy picker's counting sort: zero or
+// above 64 is rejected, 64 itself is accepted.
+TEST(PipelineConfig, RejectsZeroInsnNibbles)
+{
+    GreedyConfig config;
+    config.insnNibbles = 0;
+    EXPECT_NE(greedyConfigError(config).find("insnNibbles"),
+              std::string::npos);
+}
+
+TEST(PipelineConfig, RejectsInsnNibblesAbove64)
+{
+    GreedyConfig config;
+    config.insnNibbles = 64;
+    EXPECT_EQ(greedyConfigError(config), "");
+    config.insnNibbles = 65;
+    EXPECT_NE(greedyConfigError(config).find("at most 64"),
+              std::string::npos);
+}
+
+TEST(PipelineConfig, RejectsCodewordNibblesAbove64)
+{
+    GreedyConfig config;
+    config.codewordNibbles = 64;
+    EXPECT_EQ(greedyConfigError(config), "");
+    config.codewordNibbles = 65;
+    EXPECT_NE(greedyConfigError(config).find("at most 64"),
+              std::string::npos);
+}
+
+TEST(PipelineConfig, RejectsDictEntryNibblesAbove64)
+{
+    GreedyConfig config;
+    config.dictEntryNibbles = 64;
+    EXPECT_EQ(greedyConfigError(config), "");
+    config.dictEntryNibbles = UINT32_MAX;
+    EXPECT_NE(greedyConfigError(config).find("at most 64"),
+              std::string::npos);
+}
+
+TEST(PipelineConfig, RejectsDictEntryExtraNibblesAbove64)
+{
+    GreedyConfig config;
+    config.dictEntryExtraNibbles = 64;
+    EXPECT_EQ(greedyConfigError(config), "");
+    config.dictEntryExtraNibbles = 65;
+    EXPECT_NE(greedyConfigError(config).find("at most 64"),
+              std::string::npos);
+    Program program = workloads::buildBenchmark("compress");
+    EXPECT_THROW(selectGreedy(program, config), std::runtime_error);
+}
+
 TEST(PipelineConfig, InvalidConfigIsFatal)
 {
     Program program = workloads::buildBenchmark("compress");

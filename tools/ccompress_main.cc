@@ -233,10 +233,12 @@ run(int argc, char **argv)
                               argv[i]);
             config.maxEntryLen = static_cast<uint32_t>(*len);
         } else if (arg == "--jobs" && i + 1 < argc) {
-            int jobs = std::atoi(argv[++i]);
-            if (jobs < 1)
-                return badArg("--jobs must be at least 1");
-            setGlobalJobs(static_cast<unsigned>(jobs));
+            // 256 is setGlobalJobs' cap.
+            std::optional<long> jobs = tools::parseLongArg(argv[++i], 1, 256);
+            if (!jobs)
+                return badArg("--jobs '%s' is not a number in 1..256",
+                              argv[i]);
+            setGlobalJobs(static_cast<unsigned>(*jobs));
         } else if (arg == "--stats") {
             stats = true;
         } else if (arg == "--stats-json" && i + 1 < argc) {
