@@ -21,26 +21,41 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "decompress/cpu.hh"
 #include "program/program.hh"
 #include "support/thread_pool.hh"
+#include "tool_common.hh"
 #include "workloads/workloads.hh"
 
 namespace codecomp::bench {
 
-/** Handle the common bench flags: --jobs N caps the worker count. */
+/**
+ * Handle the common bench flags: --jobs N caps the worker count, N a
+ * whole number in 1..256 (setGlobalJobs' cap); anything else exits 1.
+ * argv is left intact (perf_microbench hands it on to
+ * benchmark::Initialize).
+ */
 inline void
 initJobs(int argc, char **argv)
 {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::string(argv[i]) == "--jobs") {
-            int jobs = std::atoi(argv[i + 1]);
-            if (jobs >= 1)
-                setGlobalJobs(static_cast<unsigned>(jobs));
+    for (int i = 1; i < argc; ++i) {
+        if (std::string_view(argv[i]) != "--jobs")
+            continue;
+        const char *value = i + 1 < argc ? argv[++i] : "";
+        std::optional<unsigned> jobs =
+            tools::parseNumber<unsigned>(value, 1, 256);
+        if (!jobs) {
+            std::fprintf(stderr,
+                         "%s: --jobs '%s' is not a number in 1..256\n",
+                         argv[0], value);
+            std::exit(tools::exitUserError);
         }
+        setGlobalJobs(*jobs);
     }
 }
 

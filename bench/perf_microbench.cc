@@ -16,14 +16,13 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 
 #include <unistd.h>
 
 #include "baselines/huffman.hh"
 #include "baselines/lzw.hh"
+#include "common.hh"
 #include "compress/candidates.hh"
 #include "compress/compressor.hh"
 #include "compress/pipeline.hh"
@@ -555,13 +554,7 @@ reportFarmFaultTolerance()
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0) {
-            int jobs = std::atoi(argv[i + 1]);
-            if (jobs >= 1)
-                setGlobalJobs(static_cast<unsigned>(jobs));
-        }
-    }
+    bench::initJobs(argc, argv);
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();

@@ -28,6 +28,15 @@ struct SweepPoint
     uint32_t maxEntryLen;
 };
 
+/** gtest would print the raw bytes (a pointer and padding), which the
+ *  discovered ctest names carry; print the fields instead. */
+void
+PrintTo(const SweepPoint &pt, std::ostream *os)
+{
+    *os << pt.bench << "/" << schemeName(pt.scheme) << "/e" << pt.maxEntries
+        << "/l" << pt.maxEntryLen;
+}
+
 std::string
 pointName(const ::testing::TestParamInfo<SweepPoint> &info)
 {

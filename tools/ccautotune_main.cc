@@ -5,14 +5,7 @@
  * byte budgets (src/autotune).
  *
  *   ccautotune --workload <name>[,<name>...]|all --budget N [--budget N]
- *              [--schemes a,b] [--strategies a,b] [--dict-caps N,N,...]
- *              [--cache-geoms CAP:LINE:WAYS,...] [--no-hotcold]
- *              [--width N] [--miss-penalty N] [--mem-cycles N]
- *              [--expand-cycles N] [--redirect-penalty N]
- *              [--l2 CAP:LINE:WAYS] [--l2-hit N] [--l2-cycles N]
- *              [--max-steps N] [--jobs N] [--isolate N]
- *              [--worker-binary <ccfarm>] [--no-cache] [--cache-dir D]
- *              [--json <file>] [--frontier]
+ *              [search-space, model, farm and output flags]
  *
  * The compression sweep runs as farm jobs (shared pipeline cache;
  * --isolate forks ccfarm workers -- the default worker is the ccfarm
@@ -24,7 +17,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -40,65 +32,6 @@
 using namespace codecomp;
 
 namespace {
-
-int
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: ccautotune --workload <name>[,...]|all --budget N "
-        "[--budget N]...\n"
-        "       [--schemes %s] [--strategies %s]\n"
-        "       [--dict-caps N,N,...] [--cache-geoms CAP:LINE:WAYS,...] "
-        "[--no-hotcold]\n"
-        "       [--width N] [--miss-penalty N] [--mem-cycles N] "
-        "[--expand-cycles N]\n"
-        "       [--redirect-penalty N] [--l2 CAP:LINE:WAYS] [--l2-hit N] "
-        "[--l2-cycles N]\n"
-        "       [--max-steps N] [--jobs N] [--isolate N] "
-        "[--worker-binary <ccfarm>]\n"
-        "       [--no-cache] [--cache-dir D] [--json <file>] "
-        "[--frontier]\n",
-        compress::schemeCliNames(",").c_str(),
-        compress::strategyCliNames(",").c_str());
-    return tools::exitUserError;
-}
-
-int
-badArg(const std::string &message)
-{
-    std::fprintf(stderr, "ccautotune: %s\n", message.c_str());
-    return tools::exitUserError;
-}
-
-std::vector<std::string>
-splitList(const std::string &arg)
-{
-    std::vector<std::string> items;
-    size_t start = 0;
-    while (start <= arg.size()) {
-        size_t comma = arg.find(',', start);
-        if (comma == std::string::npos)
-            comma = arg.size();
-        if (comma > start)
-            items.push_back(arg.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return items;
-}
-
-/** Parse "CAP:LINE:WAYS" (e.g. 2048:32:2); false on malformed input. */
-bool
-parseCacheSpec(const std::string &spec, cache::CacheConfig &config)
-{
-    unsigned cap = 0, line = 0, ways = 0;
-    char tail = 0;
-    if (std::sscanf(spec.c_str(), "%u:%u:%u%c", &cap, &line, &ways,
-                    &tail) != 3)
-        return false;
-    config = {cap, line, ways};
-    return true;
-}
 
 void
 printWorkload(const autotune::WorkloadResult &wr, bool frontier)
@@ -140,126 +73,75 @@ run(int argc, char **argv)
     std::string jsonPath;
     bool frontier = false;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--workload" && i + 1 < argc) {
-            for (const std::string &name : splitList(argv[++i])) {
-                if (name == "all") {
-                    workloadNames = workloads::benchmarkNames();
-                    break;
-                }
-                workloadNames.push_back(name);
-            }
-        } else if (arg == "--budget" && i + 1 < argc) {
-            long budget = std::atol(argv[++i]);
-            if (budget < 1)
-                return badArg("--budget must be at least 1");
-            spec.budgets.push_back(static_cast<uint64_t>(budget));
-        } else if (arg == "--schemes" && i + 1 < argc) {
-            for (const std::string &name : splitList(argv[++i])) {
-                auto scheme = compress::parseSchemeName(name);
-                if (!scheme)
-                    return badArg("unknown scheme \"" + name +
-                                  "\" (expected " +
-                                  compress::schemeCliNames(", ") + ")");
-                spec.schemes.push_back(*scheme);
-            }
-        } else if (arg == "--strategies" && i + 1 < argc) {
-            for (const std::string &name : splitList(argv[++i]))
-                spec.strategies.push_back(
-                    compress::parseStrategyNameOrFatal(name));
-        } else if (arg == "--dict-caps" && i + 1 < argc) {
-            for (const std::string &item : splitList(argv[++i])) {
-                long cap = std::atol(item.c_str());
-                if (cap < 1)
-                    return badArg("--dict-caps entries must be >= 1");
-                spec.dictCaps.push_back(static_cast<uint32_t>(cap));
-            }
-        } else if (arg == "--cache-geoms" && i + 1 < argc) {
-            for (const std::string &item : splitList(argv[++i])) {
-                cache::CacheConfig geometry;
-                if (!parseCacheSpec(item, geometry))
-                    return badArg("--cache-geoms wants CAP:LINE:WAYS "
-                                  "entries (e.g. 2048:32:2)");
-                spec.cacheGeometries.push_back(geometry);
-            }
-        } else if (arg == "--no-hotcold") {
-            spec.tryHotCold = false;
-        } else if (arg == "--width" && i + 1 < argc) {
-            spec.model.frontendWidth =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--miss-penalty" && i + 1 < argc) {
-            spec.model.missPenaltyCycles =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--mem-cycles" && i + 1 < argc) {
-            spec.model.memoryCyclesPerWord =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--expand-cycles" && i + 1 < argc) {
-            spec.model.expansionCyclesPerWord =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--redirect-penalty" && i + 1 < argc) {
-            spec.model.redirectPenaltyCycles =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--l2" && i + 1 < argc) {
-            if (!parseCacheSpec(argv[++i], spec.model.l2))
-                return badArg("--l2 wants CAP:LINE:WAYS "
-                              "(e.g. 8192:32:2)");
-        } else if (arg == "--l2-hit" && i + 1 < argc) {
-            spec.model.l2HitPenaltyCycles =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--l2-cycles" && i + 1 < argc) {
-            spec.model.l2CyclesPerWord =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--max-steps" && i + 1 < argc) {
-            spec.maxSteps = static_cast<uint64_t>(std::atoll(argv[++i]));
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            int jobs = std::atoi(argv[++i]);
-            if (jobs < 1)
-                return badArg("--jobs must be at least 1");
-            setGlobalJobs(static_cast<unsigned>(jobs));
-        } else if (arg == "--isolate" && i + 1 < argc) {
-            int workers = std::atoi(argv[++i]);
-            if (workers < 1)
-                return badArg("--isolate must be at least 1");
-            setGlobalJobs(static_cast<unsigned>(workers));
-            options.isolate = true;
-        } else if (arg == "--worker-binary" && i + 1 < argc) {
-            options.workerBinary = argv[++i];
-        } else if (arg == "--no-cache") {
-            options.cache = false;
-        } else if (arg == "--cache-dir" && i + 1 < argc) {
-            options.cacheDir = argv[++i];
-        } else if (arg == "--json" && i + 1 < argc) {
-            jsonPath = argv[++i];
-        } else if (arg == "--frontier") {
-            frontier = true;
-        } else {
-            return usage();
-        }
-    }
+    tools::Command command{
+        "ccautotune", "", 0, 0,
+        tools::join(
+            {{{"--workload", "<name>[,...]|all",
+               [&](const char *list) {
+                   for (const std::string &name : tools::splitList(list)) {
+                       if (name == "all") {
+                           workloadNames = workloads::benchmarkNames();
+                           break;
+                       }
+                       workloadNames.push_back(name);
+                   }
+               }},
+              tools::number("--budget", spec.budgets, 1),
+              {"--schemes", compress::schemeCliNames(","),
+               [&](const char *list) {
+                   for (const std::string &name : tools::splitList(list))
+                       spec.schemes.push_back(tools::parseScheme(name));
+               }},
+              {"--strategies", compress::strategyCliNames(","),
+               [&](const char *list) {
+                   for (const std::string &name : tools::splitList(list))
+                       spec.strategies.push_back(
+                           compress::parseStrategyNameOrFatal(name));
+               }},
+              {"--dict-caps", "N,N,...",
+               [&](const char *list) {
+                   for (const std::string &cap : tools::splitList(list))
+                       spec.dictCaps.push_back(tools::toNumber<uint32_t>(
+                           "--dict-caps", cap, 1, UINT32_MAX));
+               }},
+              {"--cache-geoms", "CAP:LINE:WAYS,...",
+               [&](const char *list) {
+                   for (const std::string &item : tools::splitList(list))
+                       spec.cacheGeometries.push_back(
+                           tools::parseCacheSpec("--cache-geoms", item));
+               }},
+              tools::flag("--no-hotcold", spec.tryHotCold, false)},
+             tools::timingOptions(spec.model),
+             {tools::maxStepsOption(spec.maxSteps), tools::jobsOption(),
+              tools::isolateOption(options.isolate),
+              tools::text("--worker-binary", "<ccfarm>",
+                          options.workerBinary)},
+             tools::cacheOptions(options.cache, options.cacheDir),
+             {tools::text("--json", "FILE", jsonPath),
+              tools::flag("--frontier", frontier)}})};
+    command.parse(argc, argv);
     if (workloadNames.empty() || spec.budgets.empty())
-        return usage();
+        command.fail("--workload and --budget are required");
     // The isolation worker is ccfarm in its hidden --worker mode;
     // default to the ccfarm built next to this executable.
     if (options.isolate && options.workerBinary.empty()) {
         std::filesystem::path self = selfExecutablePath();
         options.workerBinary = (self.parent_path() / "ccfarm").string();
         if (!std::filesystem::exists(options.workerBinary))
-            return badArg("--isolate needs the ccfarm worker binary "
-                          "(not found at " + options.workerBinary +
-                          "; pass --worker-binary)");
+            throw tools::UsageError(
+                "--isolate needs the ccfarm worker binary (not found at " +
+                options.workerBinary + "; pass --worker-binary)");
     }
     // Reject a bad search spec up front with the reason, mirroring
     // cctime's model validation.
-    std::string spec_error;
     if (spec.cacheGeometries.empty()) {
         for (uint32_t capacity : {1024u, 2048u, 4096u, 8192u})
             spec.cacheGeometries.push_back(
                 {capacity, 32, capacity >= 4096 ? 2u : 1u});
     }
-    spec_error = autotune::budgetSpecError(spec);
+    std::string spec_error = autotune::budgetSpecError(spec);
     if (!spec_error.empty())
-        return badArg(spec_error);
+        throw tools::UsageError(spec_error);
 
     autotune::AutotuneResult result =
         autotune::autotune(workloadNames, spec, options);

@@ -20,23 +20,6 @@ using namespace codecomp;
 namespace {
 
 int
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: ccdump <prog.ccp> [--disasm [function]]\n"
-                 "       ccdump <prog.cci> [--dict] [--stream N]\n");
-    return tools::exitUserError;
-}
-
-bool
-hasMagic(const std::vector<uint8_t> &bytes, const char *magic)
-{
-    return bytes.size() >= 4 && bytes[0] == magic[0] &&
-           bytes[1] == magic[1] && bytes[2] == magic[2] &&
-           bytes[3] == magic[3];
-}
-
-int
 dumpProgram(const Program &program, bool disasm,
             const std::string &function)
 {
@@ -112,35 +95,30 @@ dumpImage(const compress::CompressedImage &image, bool dict,
 int
 run(int argc, char **argv)
 {
-    std::string input;
     std::string function;
     bool disasm = false;
     bool dict = false;
     size_t stream_items = 0;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--disasm") {
-            disasm = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                function = argv[++i];
-        } else if (arg == "--dict") {
-            dict = true;
-        } else if (arg == "--stream" && i + 1 < argc) {
-            stream_items = static_cast<size_t>(std::atoll(argv[++i]));
-        } else if (!arg.empty() && arg[0] != '-') {
-            input = arg;
-        } else {
-            return usage();
-        }
-    }
-    if (input.empty())
-        return usage();
+    tools::Command command{
+        "ccdump", "<prog.ccp|prog.cci>", 1, 1,
+        {{.name = "--disasm",
+          .metavar = "function",
+          .apply =
+              [&](const char *name) {
+                  disasm = true;
+                  if (name)
+                      function = name;
+              },
+          .optionalValue = true},
+         tools::flag("--dict", dict),
+         tools::number("--stream", stream_items)}};
+    std::string input = command.parse(argc, argv)[0];
 
     std::vector<uint8_t> bytes = readFile(input);
-    if (hasMagic(bytes, "CCPR"))
+    if (tools::hasMagic(bytes, "CCPR"))
         return dumpProgram(loadProgram(bytes), disasm, function);
-    if (hasMagic(bytes, "CCIM"))
+    if (tools::hasMagic(bytes, "CCIM"))
         return dumpImage(loadImage(bytes), dict, stream_items);
     std::fprintf(stderr, "ccdump: unrecognized file format\n");
     return tools::exitUserError;

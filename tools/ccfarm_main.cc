@@ -3,13 +3,8 @@
  * ccfarm -- run a queue of compression jobs as one batched, cached,
  * fault-tolerant parallel farm run and aggregate the results.
  *
- *   ccfarm [--spec jobs.json]
- *          [--workloads a,b,...] [--schemes x,y] [--strategies s,t]
- *          [--jobs N] [--isolate N] [--job-timeout MS] [--retries N]
- *          [--backoff MS] [--seed S]
- *          [--no-cache] [--cache-dir dir/] [--cache-cap N]
- *          [--report out.json] [--results out.json] [--images outdir/]
- *          [--inject crash|hang|corrupt-cache] [--list]
+ *   ccfarm [--spec jobs.json] [--workloads a,b] [--schemes x,y]
+ *          [--strategies s,t] [pool, retry, cache and output flags]
  *
  * Without --spec the queue is the starter corpus (all 8 workloads x
  * every registered scheme x {greedy, refit}), optionally narrowed by
@@ -20,8 +15,9 @@
  * --isolate N runs every job in a forked worker subprocess (this very
  * binary in its hidden --worker mode) on an N-wide pool: a crash,
  * hang, machine check, or OOM kill in one job becomes a classified
- * per-job failure instead of taking down the run. --job-timeout and
- * --retries add deadlines and retry-with-backoff on top.
+ * per-job failure instead of taking down the run. --job-timeout MS and
+ * --retries N add deadlines and retry-with-backoff (--backoff MS) on
+ * top.
  *
  * --cache-dir backs the pipeline cache with a crash-safe on-disk
  * store shared across runs and worker processes; a damaged store is
@@ -47,9 +43,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <unistd.h>
@@ -70,49 +66,10 @@ using namespace codecomp;
 namespace {
 
 int
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: ccfarm [--spec jobs.json] [--workloads a,b,...] "
-                 "[--schemes %s,...] "
-                 "[--strategies greedy,reference,refit] [--jobs N] "
-                 "[--isolate N] [--job-timeout MS] [--retries N] "
-                 "[--backoff MS] [--seed S] [--no-cache] "
-                 "[--cache-dir dir/] [--cache-cap N] [--report out.json] "
-                 "[--results out.json] [--images outdir/] "
-                 "[--inject crash|hang|corrupt-cache] [--list]\n",
-                 compress::schemeCliNames(",").c_str());
-    return tools::exitUserError;
-}
-
-int
-badArg(const std::string &message)
-{
-    std::fprintf(stderr, "ccfarm: %s\n", message.c_str());
-    return tools::exitUserError;
-}
-
-int
 finding(const std::string &message)
 {
     std::fprintf(stderr, "ccfarm: FINDING: %s\n", message.c_str());
     return tools::exitFinding;
-}
-
-std::vector<std::string>
-splitList(const std::string &text)
-{
-    std::vector<std::string> items;
-    size_t start = 0;
-    while (start <= text.size()) {
-        size_t comma = text.find(',', start);
-        if (comma == std::string::npos)
-            comma = text.size();
-        if (comma > start)
-            items.push_back(text.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return items;
 }
 
 /** "gcc/nibble/refit" -> "gcc-nibble-refit.cci". */
@@ -132,6 +89,23 @@ writeText(const std::string &path, const std::string &text)
     writeFile(path, std::vector<uint8_t>(text.begin(), text.end()));
 }
 
+/** An --inject / --worker-inject kind; corrupt-cache is a campaign
+ *  of the parent run only. */
+farm::InjectKind
+parseInjectKind(const std::string &flag, std::string_view kind,
+                bool campaign)
+{
+    if (kind == "crash")
+        return farm::InjectKind::Crash;
+    if (kind == "hang")
+        return farm::InjectKind::Hang;
+    if (campaign && kind == "corrupt-cache")
+        return farm::InjectKind::CorruptCache;
+    throw tools::UsageError("unknown " + flag + " '" + std::string(kind) +
+                            "' (expected crash, hang" +
+                            (campaign ? ", or corrupt-cache)" : ")"));
+}
+
 /**
  * Hidden worker mode: execute exactly one job from a one-job spec
  * file and write the checksummed binary result (temp + atomic rename,
@@ -149,37 +123,26 @@ runWorker(int argc, char **argv)
     bool keepImages = true;
     farm::InjectKind inject = farm::InjectKind::None;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--worker" && i + 1 < argc) {
-            specPath = argv[++i];
-        } else if (arg == "--worker-out" && i + 1 < argc) {
-            outPath = argv[++i];
-        } else if (arg == "--cache-dir" && i + 1 < argc) {
-            cacheDir = argv[++i];
-        } else if (arg == "--worker-no-images") {
-            keepImages = false;
-        } else if (arg == "--worker-inject" && i + 1 < argc) {
-            std::string kind = argv[++i];
-            if (kind == "crash")
-                inject = farm::InjectKind::Crash;
-            else if (kind == "hang")
-                inject = farm::InjectKind::Hang;
-            else
-                return badArg("unknown --worker-inject '" + kind + "'");
-        } else {
-            return badArg("unknown worker-mode argument '" + arg + "'");
-        }
-    }
-    if (specPath.empty() || outPath.empty())
-        return badArg("--worker requires --worker-out");
+    tools::Command command{
+        "ccfarm", "", 0, 0,
+        {tools::text("--worker", "SPEC", specPath),
+         tools::text("--worker-out", "FILE", outPath),
+         tools::text("--cache-dir", "D", cacheDir),
+         tools::flag("--worker-no-images", keepImages, false),
+         {"--worker-inject", "crash|hang", [&](const char *kind) {
+              inject = parseInjectKind("--worker-inject", kind, false);
+          }}}};
+    command.parse(argc, argv);
+    if (outPath.empty())
+        command.fail("--worker requires --worker-out");
 
     std::vector<uint8_t> bytes = readFile(specPath);
     std::vector<farm::FarmJob> jobs =
         farm::parseJobSpec(std::string(bytes.begin(), bytes.end()));
     if (jobs.size() != 1)
-        return badArg("worker spec must contain exactly one job, got " +
-                      std::to_string(jobs.size()));
+        throw tools::UsageError(
+            "worker spec must contain exactly one job, got " +
+            std::to_string(jobs.size()));
 
     farm::WorkerResult result =
         farm::runWorkerJob(jobs[0], cacheDir, keepImages, inject);
@@ -414,9 +377,10 @@ runCorruptCacheCampaign(const std::vector<farm::FarmJob> &jobs,
 int
 run(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--worker")
-            return runWorker(argc, argv);
+    // The farm starts its isolated workers as "ccfarm --worker SPEC
+    // ...", with the hidden worker-mode table below.
+    if (argc > 1 && std::string_view(argv[1]) == "--worker")
+        return runWorker(argc, argv);
 
     std::string specPath;
     std::string reportPath;
@@ -429,78 +393,31 @@ run(int argc, char **argv)
     farm::InjectKind campaign = farm::InjectKind::None;
     farm::FarmOptions options;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--spec" && i + 1 < argc) {
-            specPath = argv[++i];
-        } else if (arg == "--workloads" && i + 1 < argc) {
-            workloadFilter = splitList(argv[++i]);
-        } else if (arg == "--schemes" && i + 1 < argc) {
-            schemeFilter = splitList(argv[++i]);
-        } else if (arg == "--strategies" && i + 1 < argc) {
-            strategyFilter = splitList(argv[++i]);
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            int jobs = std::atoi(argv[++i]);
-            if (jobs < 1)
-                return badArg("--jobs must be at least 1");
-            setGlobalJobs(static_cast<unsigned>(jobs));
-        } else if (arg == "--isolate" && i + 1 < argc) {
-            int workers = std::atoi(argv[++i]);
-            if (workers < 1)
-                return badArg("--isolate must be at least 1");
-            setGlobalJobs(static_cast<unsigned>(workers));
-            options.isolate = true;
-        } else if (arg == "--job-timeout" && i + 1 < argc) {
-            long ms = std::atol(argv[++i]);
-            if (ms < 0)
-                return badArg("--job-timeout must be >= 0");
-            options.jobTimeoutMs = static_cast<uint64_t>(ms);
-        } else if (arg == "--retries" && i + 1 < argc) {
-            int n = std::atoi(argv[++i]);
-            if (n < 0 || n > 100)
-                return badArg("--retries must be in [0, 100]");
-            options.retries = static_cast<uint32_t>(n);
-        } else if (arg == "--backoff" && i + 1 < argc) {
-            long ms = std::atol(argv[++i]);
-            if (ms < 0)
-                return badArg("--backoff must be >= 0");
-            options.backoffBaseMs = static_cast<uint64_t>(ms);
-        } else if (arg == "--seed" && i + 1 < argc) {
-            options.seed = static_cast<uint64_t>(
-                std::strtoull(argv[++i], nullptr, 10));
-        } else if (arg == "--no-cache") {
-            options.cache = false;
-        } else if (arg == "--cache-dir" && i + 1 < argc) {
-            options.cacheDir = argv[++i];
-        } else if (arg == "--cache-cap" && i + 1 < argc) {
-            long cap = std::atol(argv[++i]);
-            if (cap < 1)
-                return badArg("--cache-cap must be at least 1");
-            options.cacheMaxEntries = static_cast<size_t>(cap);
-        } else if (arg == "--report" && i + 1 < argc) {
-            reportPath = argv[++i];
-        } else if (arg == "--results" && i + 1 < argc) {
-            resultsPath = argv[++i];
-        } else if (arg == "--images" && i + 1 < argc) {
-            imagesDir = argv[++i];
-        } else if (arg == "--inject" && i + 1 < argc) {
-            std::string kind = argv[++i];
-            if (kind == "crash")
-                campaign = farm::InjectKind::Crash;
-            else if (kind == "hang")
-                campaign = farm::InjectKind::Hang;
-            else if (kind == "corrupt-cache")
-                campaign = farm::InjectKind::CorruptCache;
-            else
-                return badArg("unknown --inject '" + kind +
-                              "' (expected crash, hang, or "
-                              "corrupt-cache)");
-        } else if (arg == "--list") {
-            list = true;
-        } else {
-            return usage();
-        }
-    }
+    tools::Command command{
+        "ccfarm", "", 0, 0,
+        tools::join(
+            {{tools::text("--spec", "jobs.json", specPath),
+              tools::list("--workloads", "a,b,...", workloadFilter),
+              tools::list("--schemes", compress::schemeCliNames(","),
+                          schemeFilter),
+              tools::list("--strategies", compress::strategyCliNames(","),
+                          strategyFilter),
+              tools::jobsOption(), tools::isolateOption(options.isolate),
+              tools::number("--job-timeout", options.jobTimeoutMs),
+              tools::number("--retries", options.retries, 0, 100),
+              tools::number("--backoff", options.backoffBaseMs),
+              tools::number("--seed", options.seed)},
+             tools::cacheOptions(options.cache, options.cacheDir),
+             {tools::number("--cache-cap", options.cacheMaxEntries, 1),
+              tools::text("--report", "out.json", reportPath),
+              tools::text("--results", "out.json", resultsPath),
+              tools::text("--images", "outdir/", imagesDir),
+              {"--inject", "crash|hang|corrupt-cache",
+               [&](const char *kind) {
+                   campaign = parseInjectKind("--inject", kind, true);
+               }},
+              tools::flag("--list", list)}})};
+    command.parse(argc, argv);
 
     // Preflight every output destination before any job runs: an
     // unwritable report path must fail in milliseconds, not after the
@@ -511,15 +428,16 @@ run(int argc, char **argv)
         std::filesystem::path parent =
             std::filesystem::path(path).parent_path();
         if (!parent.empty() && !std::filesystem::is_directory(parent))
-            return badArg("output directory '" + parent.string() +
-                          "' does not exist");
+            throw tools::UsageError("output directory '" +
+                                    parent.string() + "' does not exist");
     }
     if (!imagesDir.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(imagesDir, ec);
         if (ec || !std::filesystem::is_directory(imagesDir))
-            return badArg("cannot create image directory '" + imagesDir +
-                          "'" + (ec ? ": " + ec.message() : ""));
+            throw tools::UsageError("cannot create image directory '" +
+                                    imagesDir + "'" +
+                                    (ec ? ": " + ec.message() : ""));
     }
 
     // Assemble the queue: a spec file, or the (filtered) starter corpus.
@@ -527,8 +445,9 @@ run(int argc, char **argv)
     if (!specPath.empty()) {
         if (!workloadFilter.empty() || !schemeFilter.empty() ||
             !strategyFilter.empty())
-            return badArg("--spec and the --workloads/--schemes/"
-                          "--strategies filters are mutually exclusive");
+            throw tools::UsageError(
+                "--spec and the --workloads/--schemes/--strategies "
+                "filters are mutually exclusive");
         std::vector<uint8_t> bytes = readFile(specPath);
         jobs = farm::parseJobSpec(
             std::string(bytes.begin(), bytes.end()));
@@ -536,10 +455,7 @@ run(int argc, char **argv)
         // Validate the filters up front so a typo is a usage error,
         // not an empty run.
         for (const std::string &name : schemeFilter)
-            if (!compress::parseSchemeName(name))
-                return badArg("unknown scheme '" + name +
-                              "' (expected " +
-                              compress::schemeCliNames(", ") + ")");
+            tools::parseScheme(name);
         // The shared parser's catchable fatal carries the registry's
         // strategy list; runTool maps it to the same usage exit.
         for (const std::string &name : strategyFilter)
@@ -549,7 +465,7 @@ run(int argc, char **argv)
         for (const std::string &name : workloadFilter)
             if (std::find(known.begin(), known.end(), name) ==
                 known.end())
-                return badArg("unknown workload '" + name + "'");
+                throw tools::UsageError("unknown workload '" + name + "'");
         auto keep = [](const std::vector<std::string> &filter,
                        const std::string &value) {
             return filter.empty() ||
@@ -566,7 +482,7 @@ run(int argc, char **argv)
         }
     }
     if (jobs.empty())
-        return badArg("the job queue is empty");
+        throw tools::UsageError("the job queue is empty");
 
     if (list) {
         for (const farm::FarmJob &job : jobs)

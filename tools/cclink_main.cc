@@ -22,35 +22,18 @@ using namespace codecomp;
 namespace {
 
 int
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: cclink <a.cco> [b.cco ...] -o <out.ccp> "
-                 "[--no-runtime]\n");
-    return tools::exitUserError;
-}
-
-int
 run(int argc, char **argv)
 {
-    std::vector<std::string> inputs;
     std::string output;
     bool with_runtime = true;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "-o" && i + 1 < argc) {
-            output = argv[++i];
-        } else if (arg == "--no-runtime") {
-            with_runtime = false;
-        } else if (!arg.empty() && arg[0] != '-') {
-            inputs.push_back(arg);
-        } else {
-            return usage();
-        }
-    }
-    if (inputs.empty() || output.empty())
-        return usage();
+    tools::Command command{
+        "cclink", "<a.cco> [b.cco ...]", 1, SIZE_MAX,
+        {tools::text("-o", "FILE", output),
+         tools::flag("--no-runtime", with_runtime, false)}};
+    std::vector<std::string> inputs = command.parse(argc, argv);
+    if (output.empty())
+        command.fail("missing -o FILE");
 
     std::vector<link::ObjectModule> modules;
     for (const std::string &path : inputs)

@@ -2,9 +2,7 @@
  * @file
  * ccompress -- compress linked .ccp programs into .cci images.
  *
- *   ccompress prog.ccp -o prog.cci [--scheme <name>]
- *             [--strategy greedy|reference|refit] [--max-entries N]
- *             [--max-len N] [--jobs N] [--stats] [--stats-json file]
+ *   ccompress prog.ccp -o prog.cci [options]
  *   ccompress a.ccp b.ccp ... -o outdir/ [options]
  *   ccompress --list-schemes
  *   ccompress --list-strategies
@@ -30,11 +28,8 @@
  * including "8abc" or "1e3", is a usage error (exit 1).
  */
 
-#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,20 +45,6 @@
 using namespace codecomp;
 
 namespace {
-
-int
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: ccompress <in.ccp>... -o <out.cci | outdir/> "
-                 "[--scheme %s] "
-                 "[--strategy greedy|reference|refit] [--max-entries N] "
-                 "[--max-len N] [--jobs N] [--stats] "
-                 "[--stats-json <file>]\n"
-                 "       ccompress --list-schemes | --list-strategies\n",
-                 compress::schemeCliNames().c_str());
-    return tools::exitUserError;
-}
 
 /** Print the registered codecs as a markdown table (README source). */
 int
@@ -92,18 +73,6 @@ listStrategies()
         std::printf("| `%s` | %s |\n", compress::strategyName(kind),
                     compress::strategySummary(kind));
     return tools::exitOk;
-}
-
-int
-badArg(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    std::fputs("ccompress: ", stderr);
-    std::vfprintf(stderr, fmt, args);
-    std::fputc('\n', stderr);
-    va_end(args);
-    return tools::exitUserError;
 }
 
 /** "dir/prog.ccp" -> "prog". */
@@ -188,87 +157,58 @@ jsonRecord(const std::string &input, const std::string &output,
 int
 run(int argc, char **argv)
 {
-    std::vector<std::string> inputs;
     std::string output;
     std::string statsJsonPath;
     bool stats = false;
-    long maxEntriesArg = -1; // unset; validated against the scheme below
+    bool list_schemes = false;
+    bool list_strategies = false;
+    uint32_t max_entries = 0; // unset; validated against the scheme below
     compress::CompressorConfig config;
     config.scheme = compress::Scheme::Nibble;
     config.maxEntries = 4680;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "-o" && i + 1 < argc) {
-            output = argv[++i];
-        } else if (arg == "--scheme" && i + 1 < argc) {
-            std::string scheme = argv[++i];
-            auto kind = compress::parseSchemeName(scheme);
-            if (!kind)
-                return badArg("unknown scheme '%s' (expected %s)",
-                              scheme.c_str(),
-                              compress::schemeCliNames(", ").c_str());
-            config.scheme = *kind;
-        } else if (arg == "--list-schemes") {
-            return listSchemes();
-        } else if (arg == "--list-strategies") {
-            return listStrategies();
-        } else if (arg == "--strategy" && i + 1 < argc) {
-            // The shared parser's catchable fatal names the registry's
-            // strategies; runTool turns it into a usage-error exit.
-            config.strategy =
-                compress::parseStrategyNameOrFatal(argv[++i]);
-        } else if (arg == "--max-entries" && i + 1 < argc) {
-            std::optional<long> entries =
-                tools::parseLongArg(argv[++i], 1, UINT32_MAX);
-            if (!entries)
-                return badArg("--max-entries '%s' is not a number in "
-                              "1..%u", argv[i], UINT32_MAX);
-            maxEntriesArg = *entries;
-        } else if (arg == "--max-len" && i + 1 < argc) {
-            // The bound matches a farm job spec's "max_len".
-            std::optional<long> len = tools::parseLongArg(argv[++i], 1, 64);
-            if (!len)
-                return badArg("--max-len '%s' is not a number in 1..64",
-                              argv[i]);
-            config.maxEntryLen = static_cast<uint32_t>(*len);
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            // 256 is setGlobalJobs' cap.
-            std::optional<long> jobs = tools::parseLongArg(argv[++i], 1, 256);
-            if (!jobs)
-                return badArg("--jobs '%s' is not a number in 1..256",
-                              argv[i]);
-            setGlobalJobs(static_cast<unsigned>(*jobs));
-        } else if (arg == "--stats") {
-            stats = true;
-        } else if (arg == "--stats-json" && i + 1 < argc) {
-            statsJsonPath = argv[++i];
-        } else if (!arg.empty() && arg[0] != '-') {
-            inputs.push_back(arg);
-        } else {
-            return usage();
-        }
-    }
+    tools::Command command{
+        "ccompress", "<in.ccp>...", 0, SIZE_MAX,
+        {tools::text("-o", "<out.cci|outdir/>", output),
+         {"--scheme", compress::schemeCliNames(),
+          [&](const char *name) {
+              config.scheme = tools::parseScheme(name);
+          }},
+         tools::flag("--list-schemes", list_schemes),
+         tools::flag("--list-strategies", list_strategies),
+         {"--strategy", compress::strategyCliNames("|"),
+          [&](const char *name) {
+              config.strategy = compress::parseStrategyNameOrFatal(name);
+          }},
+         tools::number("--max-entries", max_entries, 1),
+         // The bound matches a farm job spec's "max_len".
+         tools::number("--max-len", config.maxEntryLen, 1, 64),
+         tools::jobsOption(),
+         tools::flag("--stats", stats),
+         tools::text("--stats-json", "FILE", statsJsonPath)}};
+    std::vector<std::string> inputs = command.parse(argc, argv);
+    if (list_schemes)
+        return listSchemes();
+    if (list_strategies)
+        return listStrategies();
     if (inputs.empty() || output.empty())
-        return usage();
+        command.fail("give <in.ccp>... and -o FILE");
     // --max-entries is validated against the final scheme (the flags
     // may come in any order) rather than silently clipped.
-    if (maxEntriesArg != -1) {
-        long max = compress::schemeParams(config.scheme).maxCodewords;
-        if (maxEntriesArg < 1 || maxEntriesArg > max)
-            return badArg("--max-entries %ld out of range for scheme "
-                          "%s (1..%ld)",
-                          maxEntriesArg,
-                          compress::schemeName(config.scheme), max);
-        config.maxEntries = static_cast<uint32_t>(maxEntriesArg);
+    if (max_entries) {
+        uint32_t max = compress::schemeParams(config.scheme).maxCodewords;
+        if (max_entries > max)
+            throw tools::UsageError(
+                "--max-entries " + std::to_string(max_entries) +
+                " out of range for scheme " +
+                compress::schemeName(config.scheme) + " (1.." +
+                std::to_string(max) + ")");
+        config.maxEntries = max_entries;
     }
     bool outdir = output.back() == '/';
-    if (inputs.size() > 1 && !outdir) {
-        std::fprintf(stderr,
-                     "ccompress: several inputs need a directory "
-                     "output (end it with '/')\n");
-        return tools::exitUserError;
-    }
+    if (inputs.size() > 1 && !outdir)
+        throw tools::UsageError(
+            "several inputs need a directory output (end it with '/')");
 
     // Each input is an independent compress; fan the batch out across
     // the pool and print reports in input order.

@@ -30,23 +30,6 @@ using namespace codecomp;
 
 namespace {
 
-int
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: ccrun <prog.ccp|prog.cci> [--max-steps N] "
-                 "[--stats]\n");
-    return tools::exitUserError;
-}
-
-bool
-hasMagic(const std::vector<uint8_t> &bytes, const char *magic)
-{
-    return bytes.size() >= 4 && bytes[0] == magic[0] &&
-           bytes[1] == magic[1] && bytes[2] == magic[2] &&
-           bytes[3] == magic[3];
-}
-
 /** The --stats fields, machine-readable (support/json). */
 std::string
 statsJson(const char *kind, const ExecResult &result,
@@ -69,27 +52,16 @@ statsJson(const char *kind, const ExecResult &result,
 int
 run(int argc, char **argv)
 {
-    std::string input;
     uint64_t max_steps = 1ull << 28;
     bool stats = false;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--max-steps" && i + 1 < argc) {
-            max_steps = static_cast<uint64_t>(std::atoll(argv[++i]));
-        } else if (arg == "--stats") {
-            stats = true;
-        } else if (!arg.empty() && arg[0] != '-') {
-            input = arg;
-        } else {
-            return usage();
-        }
-    }
-    if (input.empty())
-        return usage();
+    tools::Command command{"ccrun", "<prog.ccp|prog.cci>", 1, 1,
+                           {tools::maxStepsOption(max_steps),
+                            tools::flag("--stats", stats)}};
+    std::string input = command.parse(argc, argv)[0];
 
     std::vector<uint8_t> bytes = readFile(input);
-    if (hasMagic(bytes, "CCPR")) {
+    if (tools::hasMagic(bytes, "CCPR")) {
         Program program = loadProgram(bytes);
         Cpu cpu(program);
         ExecResult result = cpu.run(max_steps);
@@ -104,7 +76,7 @@ run(int argc, char **argv)
         }
         return result.exitCode & 0xff;
     }
-    if (hasMagic(bytes, "CCIM")) {
+    if (tools::hasMagic(bytes, "CCIM")) {
         compress::CompressedImage image = loadImage(bytes);
         CompressedCpu cpu(image);
         ExecResult result = cpu.run(max_steps);

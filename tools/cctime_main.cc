@@ -4,11 +4,7 @@
  * its compressed .cci image through the cycle-approximate timing model
  * (src/timing) and print the two verdicts side by side.
  *
- *   cctime prog.ccp prog.cci [--width N] [--icache CAP:LINE:WAYS]
- *          [--l2 CAP:LINE:WAYS] [--l2-hit N] [--l2-cycles N]
- *          [--miss-penalty N] [--mem-cycles N] [--expand-cycles N]
- *          [--redirect-penalty N] [--decoded-cache N] [--max-steps N]
- *          [--json <file>]
+ *   cctime prog.ccp prog.cci [model flags] [--max-steps N] [--json <file>]
  *
  * The two runs must produce identical program output and exit code
  * (they are the same program); a mismatch is reported as a verification
@@ -33,32 +29,6 @@
 using namespace codecomp;
 
 namespace {
-
-int
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: cctime <prog.ccp> <prog.cci> [--width N] "
-        "[--icache CAP:LINE:WAYS] [--l2 CAP:LINE:WAYS] [--l2-hit N] "
-        "[--l2-cycles N] [--miss-penalty N] [--mem-cycles N] "
-        "[--expand-cycles N] [--redirect-penalty N] [--decoded-cache N] "
-        "[--max-steps N] [--json <file>]\n");
-    return tools::exitUserError;
-}
-
-/** Parse "CAP:LINE:WAYS" (e.g. 2048:32:2); false on malformed input. */
-bool
-parseCacheSpec(const std::string &spec, cache::CacheConfig &config)
-{
-    unsigned cap = 0, line = 0, ways = 0;
-    char tail = 0;
-    if (std::sscanf(spec.c_str(), "%u:%u:%u%c", &cap, &line, &ways,
-                    &tail) != 3)
-        return false;
-    config = {cap, line, ways};
-    return true;
-}
 
 void
 printReport(const char *label, const timing::TimingReport &report)
@@ -94,74 +64,27 @@ printReport(const char *label, const timing::TimingReport &report)
 int
 run(int argc, char **argv)
 {
-    std::string programPath, imagePath, jsonPath;
+    std::string jsonPath;
     timing::TimingConfig config;
     uint64_t max_steps = 1ull << 28;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--width" && i + 1 < argc) {
-            config.frontendWidth =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--icache" && i + 1 < argc) {
-            if (!parseCacheSpec(argv[++i], config.icache)) {
-                std::fprintf(stderr,
-                             "cctime: --icache wants CAP:LINE:WAYS "
-                             "(e.g. 2048:32:2)\n");
-                return tools::exitUserError;
-            }
-        } else if (arg == "--l2" && i + 1 < argc) {
-            if (!parseCacheSpec(argv[++i], config.l2)) {
-                std::fprintf(stderr,
-                             "cctime: --l2 wants CAP:LINE:WAYS "
-                             "(e.g. 8192:32:2)\n");
-                return tools::exitUserError;
-            }
-        } else if (arg == "--l2-hit" && i + 1 < argc) {
-            config.l2HitPenaltyCycles =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--l2-cycles" && i + 1 < argc) {
-            config.l2CyclesPerWord =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--miss-penalty" && i + 1 < argc) {
-            config.missPenaltyCycles =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--mem-cycles" && i + 1 < argc) {
-            config.memoryCyclesPerWord =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--expand-cycles" && i + 1 < argc) {
-            config.expansionCyclesPerWord =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--redirect-penalty" && i + 1 < argc) {
-            config.redirectPenaltyCycles =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--decoded-cache" && i + 1 < argc) {
-            config.decodedCacheRanks =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--max-steps" && i + 1 < argc) {
-            max_steps = static_cast<uint64_t>(std::atoll(argv[++i]));
-        } else if (arg == "--json" && i + 1 < argc) {
-            jsonPath = argv[++i];
-        } else if (!arg.empty() && arg[0] != '-') {
-            if (programPath.empty())
-                programPath = arg;
-            else if (imagePath.empty())
-                imagePath = arg;
-            else
-                return usage();
-        } else {
-            return usage();
-        }
-    }
-    if (programPath.empty() || imagePath.empty())
-        return usage();
+    tools::Command command{
+        "cctime", "<prog.ccp> <prog.cci>", 2, 2,
+        tools::join({{tools::geometry("--icache", config.icache)},
+                     tools::timingOptions(config),
+                     {tools::number("--decoded-cache",
+                                    config.decodedCacheRanks),
+                      tools::maxStepsOption(max_steps),
+                      tools::text("--json", "FILE", jsonPath)}})};
+    std::vector<std::string> paths = command.parse(argc, argv);
+    const std::string &programPath = paths[0];
+    const std::string &imagePath = paths[1];
+
     // Reject a bad model up front as a usage error with the reason,
     // rather than letting FetchTimer's catchable fatal surface raw.
     std::string config_error = timing::timingConfigError(config);
-    if (!config_error.empty()) {
-        std::fprintf(stderr, "cctime: %s\n", config_error.c_str());
-        return tools::exitUserError;
-    }
+    if (!config_error.empty())
+        throw tools::UsageError(config_error);
 
     Program program = loadProgram(readFile(programPath));
     compress::CompressedImage image = loadImage(readFile(imagePath));

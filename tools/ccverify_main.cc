@@ -55,29 +55,6 @@ using namespace codecomp;
 
 namespace {
 
-int
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: ccverify <prog.ccp> | --benchmark <name>\n"
-        "  [--scheme %s|all]\n"
-        "  [--strategy greedy|reference|refit] [--max-steps N]\n"
-        "  [--window N] [--max-divergences N] [--check-interval N]\n"
-        "  [--inject dict|rank|disp|all] [--corrupt N] [--checksum]\n"
-        "  [--seed N]\n",
-        compress::schemeCliNames().c_str());
-    return tools::exitUserError;
-}
-
-bool
-hasMagic(const std::vector<uint8_t> &bytes, const char *magic)
-{
-    return bytes.size() >= 4 && bytes[0] == magic[0] &&
-           bytes[1] == magic[1] && bytes[2] == magic[2] &&
-           bytes[3] == magic[3];
-}
-
 /** One clean lockstep run; returns true if it verified. */
 bool
 verifyScheme(const Program &program, compress::Scheme scheme,
@@ -186,87 +163,61 @@ verifyCorrupt(const Program &program, compress::Scheme scheme,
 int
 run(int argc, char **argv)
 {
-    std::string input, benchmark, scheme_arg = "all", inject_arg;
+    std::string benchmark;
+    std::vector<compress::Scheme> schemes = compress::allSchemes();
     compress::StrategyKind strategy = compress::StrategyKind::Greedy;
+    std::vector<verify::FaultKind> kinds;
     uint64_t seed = 1, corrupt_count = 0;
     bool checksum = false;
     verify::LockstepConfig config;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--benchmark" && i + 1 < argc) {
-            benchmark = argv[++i];
-        } else if (arg == "--scheme" && i + 1 < argc) {
-            scheme_arg = argv[++i];
-        } else if (arg == "--strategy" && i + 1 < argc) {
-            auto kind = compress::parseStrategyName(argv[++i]);
-            if (!kind)
-                return usage();
-            strategy = *kind;
-        } else if (arg == "--max-steps" && i + 1 < argc) {
-            config.maxSteps =
-                static_cast<uint64_t>(std::atoll(argv[++i]));
-        } else if (arg == "--window" && i + 1 < argc) {
-            config.window = static_cast<unsigned>(std::atoi(argv[++i]));
-        } else if (arg == "--max-divergences" && i + 1 < argc) {
-            config.maxDivergences =
-                static_cast<unsigned>(std::atoi(argv[++i]));
-        } else if (arg == "--check-interval" && i + 1 < argc) {
-            config.fullCheckInterval =
-                static_cast<uint64_t>(std::atoll(argv[++i]));
-        } else if (arg == "--inject" && i + 1 < argc) {
-            inject_arg = argv[++i];
-        } else if (arg == "--corrupt" && i + 1 < argc) {
-            corrupt_count = static_cast<uint64_t>(std::atoll(argv[++i]));
-        } else if (arg == "--checksum") {
-            checksum = true;
-        } else if (arg == "--seed" && i + 1 < argc) {
-            seed = static_cast<uint64_t>(std::atoll(argv[++i]));
-        } else if (!arg.empty() && arg[0] != '-') {
-            input = arg;
-        } else {
-            return usage();
-        }
-    }
-    if (input.empty() == benchmark.empty())
-        return usage();
-    if (config.maxDivergences == 0 || config.window == 0)
-        return usage();
-
-    std::vector<compress::Scheme> schemes;
-    if (scheme_arg == "all") {
-        schemes = compress::allSchemes();
-    } else if (auto parsed = compress::parseSchemeName(scheme_arg)) {
-        schemes = {*parsed};
-    } else {
-        return usage();
-    }
-
-    std::vector<verify::FaultKind> kinds;
-    if (inject_arg == "all") {
-        kinds = {verify::FaultKind::DictEntryWord,
-                 verify::FaultKind::CodewordRank,
-                 verify::FaultKind::BranchDisp};
-    } else if (inject_arg == "dict") {
-        kinds = {verify::FaultKind::DictEntryWord};
-    } else if (inject_arg == "rank") {
-        kinds = {verify::FaultKind::CodewordRank};
-    } else if (inject_arg == "disp") {
-        kinds = {verify::FaultKind::BranchDisp};
-    } else if (!inject_arg.empty()) {
-        return usage();
-    }
+    tools::Command command{
+        "ccverify", "<prog.ccp>", 0, 1,
+        {tools::text("--benchmark", "NAME", benchmark),
+         {"--scheme", compress::schemeCliNames() + "|all",
+          [&](const char *name) {
+              schemes = std::string_view(name) == "all"
+                            ? compress::allSchemes()
+                            : std::vector{tools::parseScheme(name)};
+          }},
+         {"--strategy", compress::strategyCliNames("|"),
+          [&](const char *name) {
+              strategy = compress::parseStrategyNameOrFatal(name);
+          }},
+         tools::maxStepsOption(config.maxSteps),
+         tools::number("--window", config.window, 1),
+         tools::number("--max-divergences", config.maxDivergences, 1),
+         tools::number("--check-interval", config.fullCheckInterval),
+         {"--inject", "dict|rank|disp|all",
+          [&](const char *name) {
+              using verify::FaultKind;
+              std::string_view kind = name;
+              kinds.clear();
+              for (auto [label, fault] :
+                   {std::pair{"dict", FaultKind::DictEntryWord},
+                    std::pair{"rank", FaultKind::CodewordRank},
+                    std::pair{"disp", FaultKind::BranchDisp}})
+                  if (kind == label || kind == "all")
+                      kinds.push_back(fault);
+              if (kinds.empty())
+                  throw tools::UsageError(
+                      "unknown --inject '" + std::string(kind) +
+                      "' (expected dict, rank, disp, all)");
+          }},
+         tools::number("--corrupt", corrupt_count),
+         tools::flag("--checksum", checksum),
+         tools::number("--seed", seed)}};
+    std::vector<std::string> inputs = command.parse(argc, argv);
+    if (inputs.empty() == benchmark.empty())
+        command.fail("give either <prog.ccp> or --benchmark NAME");
 
     Program program;
     if (!benchmark.empty()) {
         program = workloads::buildBenchmark(benchmark);
     } else {
-        std::vector<uint8_t> bytes = readFile(input);
-        if (!hasMagic(bytes, "CCPR")) {
-            std::fprintf(stderr, "ccverify: %s is not a .ccp program\n",
-                         input.c_str());
-            return tools::exitUserError;
-        }
+        std::vector<uint8_t> bytes = readFile(inputs[0]);
+        if (!tools::hasMagic(bytes, "CCPR"))
+            throw tools::UsageError(inputs[0] + " is not a .ccp program");
         program = loadProgram(bytes);
     }
 

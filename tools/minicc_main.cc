@@ -8,7 +8,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "codegen/codegen.hh"
@@ -23,50 +22,26 @@ using namespace codecomp;
 namespace {
 
 int
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: minicc <input.mc> -o <out.ccp> [--standard-frames]"
-                 " [--no-runtime]\n"
-                 "       minicc -c <input.mc> -o <out.cco>   (separate "
-                 "compilation)\n"
-                 "       minicc --benchmark <name> -o <out.ccp> "
-                 "[--scale N]\n");
-    return tools::exitUserError;
-}
-
-int
 run(int argc, char **argv)
 {
-    std::string input;
     std::string benchmark;
     std::string output;
     int scale = 1;
     bool compile_only = false;
     codegen::CompileOptions options;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "-o" && i + 1 < argc) {
-            output = argv[++i];
-        } else if (arg == "--benchmark" && i + 1 < argc) {
-            benchmark = argv[++i];
-        } else if (arg == "--scale" && i + 1 < argc) {
-            scale = std::atoi(argv[++i]);
-        } else if (arg == "-c") {
-            compile_only = true;
-        } else if (arg == "--standard-frames") {
-            options.standardizedFrames = true;
-        } else if (arg == "--no-runtime") {
-            options.includeRuntime = false;
-        } else if (!arg.empty() && arg[0] != '-') {
-            input = arg;
-        } else {
-            return usage();
-        }
-    }
-    if (output.empty() || (input.empty() == benchmark.empty()))
-        return usage();
+    tools::Command command{
+        "minicc", "<input.mc>", 0, 1,
+        {tools::text("-o", "FILE", output),
+         tools::text("--benchmark", "NAME", benchmark),
+         tools::number("--scale", scale, 1),
+         tools::flag("-c", compile_only),
+         tools::flag("--standard-frames", options.standardizedFrames),
+         tools::flag("--no-runtime", options.includeRuntime, false)}};
+    std::vector<std::string> inputs = command.parse(argc, argv);
+    if (output.empty() || inputs.empty() == benchmark.empty())
+        command.fail("give -o FILE and either <input.mc> or --benchmark NAME");
+    std::string input = inputs.empty() ? "" : inputs[0];
 
     std::string source;
     if (!benchmark.empty()) {
