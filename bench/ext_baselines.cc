@@ -21,8 +21,9 @@ using namespace codecomp;
 using namespace codecomp::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    initJobs(argc, argv);
     banner("Extension", "comparators on identical programs");
     std::printf("%-9s %9s %9s %9s %9s %9s %9s\n", "bench", "baseline",
                 "nibble", "ccrp", "liao-1w", "liao-2w", "liao-sw");

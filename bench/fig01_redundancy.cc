@@ -16,8 +16,9 @@ using namespace codecomp;
 using namespace codecomp::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    initJobs(argc, argv);
     banner("Figure 1", "distinct instruction encodings per program");
     std::printf("%-9s %8s %9s %12s %12s %10s %10s\n", "bench", "insns",
                 "distinct", "once-used", "repeated", "top1%cov",

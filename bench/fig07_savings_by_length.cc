@@ -18,8 +18,9 @@ using namespace codecomp;
 using namespace codecomp::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    initJobs(argc, argv);
     banner("Figure 7",
            "bytes saved by dictionary entry length (ijpeg, <= 8 "
            "insns/entry)");

@@ -13,8 +13,9 @@ using namespace codecomp;
 using namespace codecomp::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    initJobs(argc, argv);
     banner("Figure 10", "nibble-aligned encoding (4/8/12/16-bit codewords)");
     std::printf("first nibble 0-7  : 4-bit codeword   (8 codewords)\n");
     std::printf("first nibble 8-11 : 8-bit codeword   (64 codewords)\n");

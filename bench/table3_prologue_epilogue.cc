@@ -14,8 +14,9 @@ using namespace codecomp;
 using namespace codecomp::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    initJobs(argc, argv);
     banner("Table 3", "prologue and epilogue code in benchmarks");
     std::printf("%-9s %8s %10s %10s %10s\n", "bench", "insns",
                 "prologue", "epilogue", "combined");

@@ -44,15 +44,26 @@ makeTimers(const BudgetSpec &spec,
     return timers;
 }
 
+/** Every timer of a run, observing one fetch stream. */
+struct TimerFan
+{
+    std::vector<timing::FetchTimer> &timers;
+
+    void
+    onFetch(const FetchEvent &event)
+    {
+        for (timing::FetchTimer &timer : timers)
+            timer.onFetch(event);
+    }
+};
+
 template <typename AnyCpu>
 void
 runTimed(AnyCpu &cpu, std::vector<timing::FetchTimer> &timers,
          uint64_t max_steps)
 {
-    cpu.setFetchHook([&timers](const FetchEvent &event) {
-        for (timing::FetchTimer &timer : timers)
-            timer.onFetch(event);
-    });
+    TimerFan fan{timers};
+    cpu.setFetchHook(FetchHook::inlined(fan));
     cpu.run(max_steps);
 }
 

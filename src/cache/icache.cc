@@ -1,5 +1,7 @@
 #include "cache/icache.hh"
 
+#include <bit>
+
 #include "support/logging.hh"
 
 namespace codecomp::cache {
@@ -49,6 +51,9 @@ validateCacheConfig(const CacheConfig &config)
 ICache::ICache(const CacheConfig &config) : config_(config)
 {
     validateCacheConfig(config);
+    lineShift_ = static_cast<unsigned>(std::countr_zero(config.lineBytes));
+    setMask_ = config.numSets() - 1;
+    setShift_ = static_cast<unsigned>(std::countr_zero(config.numSets()));
     ways_.resize(static_cast<size_t>(config.numSets()) * config.ways);
 }
 
@@ -58,46 +63,33 @@ ICache::reset()
     std::fill(ways_.begin(), ways_.end(), Way{});
     stats_.reset();
     tick_ = 0;
+    lastLine_ = noLine;
 }
 
-bool
-ICache::touch(uint32_t addr)
+void
+ICache::fill(Way *set, uint64_t tag)
 {
-    uint32_t line = addr / config_.lineBytes;
-    uint32_t set = line & (config_.numSets() - 1);
-    uint64_t tag = line / config_.numSets();
-
-    Way *base = &ways_[static_cast<size_t>(set) * config_.ways];
-    ++stats_.accesses;
-    ++tick_;
-
-    Way *victim = base;
-    for (uint32_t w = 0; w < config_.ways; ++w) {
-        if (base[w].tag == tag) {
-            base[w].lastUse = tick_;
-            return true; // hit
-        }
-        if (base[w].lastUse < victim->lastUse)
-            victim = &base[w];
-    }
+    Way *victim = set;
+    for (uint32_t w = 1; w < config_.ways; ++w)
+        if (set[w].lastUse < victim->lastUse)
+            victim = &set[w];
     ++stats_.misses;
     ++stats_.lineFills;
     if (victim->tag != invalidTag)
         ++stats_.evictions;
     victim->tag = tag;
     victim->lastUse = tick_;
-    return false;
 }
 
 unsigned
 ICache::access(uint32_t addr, uint32_t bytes)
 {
     CC_ASSERT(bytes >= 1, "empty access");
-    uint32_t first_line = addr / config_.lineBytes;
-    uint32_t last_line = (addr + bytes - 1) / config_.lineBytes;
+    uint32_t first_line = addr >> lineShift_;
+    uint32_t last_line = (addr + bytes - 1) >> lineShift_;
     unsigned missed = 0;
     for (uint32_t line = first_line; line <= last_line; ++line)
-        missed += !touch(line * config_.lineBytes);
+        missed += !touchLine(line);
     return missed;
 }
 

@@ -84,7 +84,36 @@ class ICache
     unsigned access(uint32_t addr, uint32_t bytes);
 
     /** Probe a single line containing @p addr; true on a hit. */
-    bool touch(uint32_t addr);
+    bool touch(uint32_t addr) { return touchLine(addr >> lineShift_); }
+
+    /** Probe line number @p line (an address >> lineShift()); true on
+     *  a hit. */
+    bool
+    touchLine(uint32_t line)
+    {
+        ++stats_.accesses;
+        // The line probed last is resident and already the most
+        // recently used of its set, so probing it again is a hit that
+        // changes no LRU order (fetch streams do this most of the time).
+        if (line == lastLine_)
+            return true;
+        lastLine_ = line;
+        Way *set = &ways_[static_cast<size_t>(line & setMask_) *
+                          config_.ways];
+        uint64_t tag = line >> setShift_;
+        ++tick_;
+        for (uint32_t w = 0; w < config_.ways; ++w) {
+            if (set[w].tag == tag) {
+                set[w].lastUse = tick_;
+                return true;
+            }
+        }
+        fill(set, tag);
+        return false;
+    }
+
+    /** log2 of the line size: line index = addr >> lineShift(). */
+    unsigned lineShift() const { return lineShift_; }
 
     const CacheStats &stats() const { return stats_; }
     const CacheConfig &config() const { return config_; }
@@ -97,14 +126,27 @@ class ICache
         uint64_t lastUse = 0;
     };
 
+    /** Miss path of touch(): replace the least recently used way of
+     *  @p set (the first such way on a tie) with @p tag. */
+    void fill(Way *set, uint64_t tag);
+
     /** 32-bit addresses make every real tag < 2^32, so this sentinel
      *  can never collide with a resident line. */
     static constexpr uint64_t invalidTag = UINT64_MAX;
+    static constexpr uint32_t noLine = UINT32_MAX;
 
     CacheConfig config_;
+    /** Shifts and mask of the (validated, power-of-two) geometry:
+     *  line = addr >> lineShift_, set = line & setMask_,
+     *  tag = line >> setShift_. */
+    unsigned lineShift_ = 0;
+    uint32_t setMask_ = 0;
+    unsigned setShift_ = 0;
     std::vector<Way> ways_; //!< numSets * ways, row-major by set
     CacheStats stats_;
     uint64_t tick_ = 0;
+    /** Line of the last probe; a line number is at most 2^30 - 1. */
+    uint32_t lastLine_ = noLine;
 };
 
 } // namespace codecomp::cache

@@ -9,7 +9,28 @@ CompressedCpu::CompressedCpu(const compress::CompressedImage &image)
       unitNibbles_(compress::schemeParams(image.scheme).unitNibbles),
       pc_(compress::CompressedImage::nibbleBase + image.entryPointNibble)
 {
+    // isa::decode is total, so decoding eagerly cannot fault where
+    // decoding at fetch would not; images are immutable once loaded.
+    itemInsts_.reserve(engine_.items().size());
+    for (const DecodedItem &item : engine_.items())
+        itemInsts_.push_back(item.isCodeword ? isa::Inst{}
+                                             : isa::decode(item.word));
     machine_.loadImage(image.dataBase, image.data);
+}
+
+void
+CompressedCpu::budgetExceeded() const
+{
+    CC_FATAL("compressed program exceeded ", step_limit_, " steps");
+}
+
+void
+CompressedCpu::relativeBranchInEntry(uint32_t self_pc, uint32_t rank) const
+{
+    throw MachineCheckError(MachineFault::IllegalInstruction, self_pc,
+                            "relative branch inside dictionary entry "
+                            "rank " +
+                                std::to_string(rank));
 }
 
 /**
@@ -76,116 +97,16 @@ CompressedCpu::execBranch(const isa::Inst &inst, uint32_t next_pc,
     }
 }
 
-bool
-CompressedCpu::step()
-{
-    if (machine_.halted())
-        return false;
-
-    uint32_t base = compress::CompressedImage::nibbleBase;
-    if (pc_ < base)
-        throw MachineCheckError(MachineFault::FetchOutOfText, pc_,
-                                "compressed PC below text base");
-    const DecodedItem &item = engine_.itemAt(pc_ - base);
-    uint32_t first_byte = pc_ / 2;
-    uint32_t last_byte = (pc_ + item.nibbles - 1) / 2;
-    // One event per item, fired after its effects land so the retired
-    // count and redirect flag are final (fetch.hh) -- a redirect can cut
-    // a dictionary expansion short, and the halting Sc still counts.
-    FetchEvent event{first_byte, last_byte - first_byte + 1, 0,
-                     item.isCodeword, false};
-    uint32_t next_pc = pc_ + item.nibbles;
-    uint32_t self_pc = pc_;
-    redirected_ = false;
-    bool halted = false;
-
-    if (item.isCodeword) {
-        // Expansion walks the engine's pre-decoded entry cache: the
-        // entry's words went through isa::decode once at engine
-        // construction, so the hot loop is a walk over the cache's
-        // contiguous arena.
-        DecodedEntry entry = engine_.decodedEntry(item.rank);
-        event.rank = item.rank;
-        for (unsigned slot = 0; slot < entry.size(); ++slot) {
-            // The budget is per expanded architectural instruction, not
-            // per fetch slot: a multi-instruction dictionary entry must
-            // not overshoot a limit that falls mid-expansion.
-            if (inst_count_ >= step_limit_)
-                CC_FATAL("compressed program exceeded ", step_limit_,
-                         " steps");
-            const isa::Inst &inst = entry[slot];
-            ++inst_count_;
-            ++event.retired;
-            // The loader's validator rejects such dictionaries on disk;
-            // in-memory corruption still must trap, not misexecute.
-            if (inst.isRelativeBranch())
-                throw MachineCheckError(
-                    MachineFault::IllegalInstruction, self_pc,
-                    "relative branch inside dictionary entry rank " +
-                        std::to_string(item.rank));
-            if (inst.isBranch()) {
-                execBranch(inst, next_pc, self_pc);
-                if (retire_hook_)
-                    retire_hook_(inst, self_pc, slot);
-                if (redirected_)
-                    break;
-            } else {
-                machine_.execute(inst);
-                if (retire_hook_)
-                    retire_hook_(inst, self_pc, slot);
-                if (machine_.halted()) {
-                    halted = true;
-                    break;
-                }
-            }
-        }
-    } else {
-        if (inst_count_ >= step_limit_)
-            CC_FATAL("compressed program exceeded ", step_limit_,
-                     " steps");
-        isa::Inst inst = isa::decode(item.word);
-        ++inst_count_;
-        ++event.retired;
-        if (inst.isBranch()) {
-            execBranch(inst, next_pc, self_pc);
-            if (retire_hook_)
-                retire_hook_(inst, self_pc, 0);
-        } else {
-            machine_.execute(inst);
-            if (retire_hook_)
-                retire_hook_(inst, self_pc, 0);
-            halted = machine_.halted();
-        }
-    }
-    event.taken = redirected_;
-    stats_.record(event);
-    if (fetch_hook_)
-        fetch_hook_(event);
-    if (halted)
-        return false;
-    if (!redirected_)
-        pc_ = next_pc;
-    return true;
-}
-
 ExecResult
 CompressedCpu::run(uint64_t max_steps)
 {
-    // The limit is enforced inside step() before every expanded
-    // instruction; checking between items here would let a
-    // multi-instruction dictionary entry overshoot the budget. The
-    // guard restores the unbudgeted default even when a machine check
-    // or fatal escapes mid-run, so a caught fault does not leave a
-    // stale budget behind for later step()/run() calls.
-    struct BudgetGuard
-    {
-        uint64_t &limit;
-        ~BudgetGuard() { limit = UINT64_MAX; }
-    } guard{step_limit_};
-    step_limit_ = max_steps;
-    while (!machine_.halted())
-        step();
-    return {machine_.output(), machine_.exitCode(), inst_count_};
+    if (fetch_hook_.runCompressed_)
+        return fetch_hook_.runCompressed_(fetch_hook_.observer_, *this,
+                                          max_steps);
+    if (fetch_hook_.each_)
+        return runWith(fetch_hook_, max_steps);
+    NoFetchObserver none;
+    return runWith(none, max_steps);
 }
 
 ExecResult

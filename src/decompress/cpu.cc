@@ -45,6 +45,11 @@ Cpu::Cpu(const Program &program) : program_(program)
 {
     CC_ASSERT(program.dataBase != 0, "program not finalized");
     machine_.loadImage(Program::textBase, textImage(program));
+    // isa::decode is total, so decoding eagerly cannot fault where
+    // decoding at fetch would not; .text is immutable once loaded.
+    text_.reserve(program.text.size());
+    for (isa::Word word : program.text)
+        text_.push_back(isa::decode(word));
 
     // Patch jump-table slots with byte addresses of their targets, then
     // load .data.
@@ -63,38 +68,20 @@ Cpu::Cpu(const Program &program) : program_(program)
     // jump to LR = 0; the entry code always exits via syscall instead.
 }
 
-bool
-Cpu::step()
+void
+Cpu::fetchFault() const
 {
-    if (machine_.halted())
-        return false;
-
-    // Fetch-stage machine checks: a corrupt code pointer (jump table,
-    // LR, CTR) must trap precisely, never index .text out of bounds.
-    uint32_t text_end = Program::textBase + program_.textBytes();
-    if (pc_ < Program::textBase || pc_ >= text_end)
+    if (pc_ < Program::textBase ||
+        pc_ >= Program::textBase + program_.textBytes())
         throw MachineCheckError(MachineFault::FetchOutOfText, pc_,
                                 "PC outside .text");
-    if (pc_ % isa::instBytes != 0)
-        throw MachineCheckError(MachineFault::MisalignedPc, pc_,
-                                "PC not instruction aligned");
-    uint32_t index = (pc_ - Program::textBase) / isa::instBytes;
-    isa::Inst inst = isa::decode(program_.text[index]);
-    ++inst_count_;
+    throw MachineCheckError(MachineFault::MisalignedPc, pc_,
+                            "PC not instruction aligned");
+}
 
-    // The fetch event fires after the instruction's effects land so the
-    // taken flag is final (fetch.hh); the halting Sc still counts.
-    FetchEvent event{pc_, isa::instBytes, 1, false, false};
-
-    if (!inst.isBranch()) {
-        machine_.execute(inst);
-        stats_.record(event);
-        if (fetch_hook_)
-            fetch_hook_(event);
-        pc_ += isa::instBytes;
-        return !machine_.halted();
-    }
-
+bool
+Cpu::execBranch(const isa::Inst &inst)
+{
     uint32_t next_pc = pc_ + isa::instBytes;
     bool taken;
     uint32_t target = 0;
@@ -138,22 +125,18 @@ Cpu::step()
     if (inst.lk)
         machine_.setLr(next_pc);
     pc_ = taken ? target : next_pc;
-    event.taken = taken;
-    stats_.record(event);
-    if (fetch_hook_)
-        fetch_hook_(event);
-    return true;
+    return taken;
 }
 
 ExecResult
 Cpu::run(uint64_t max_steps)
 {
-    while (!machine_.halted()) {
-        if (inst_count_ >= max_steps)
-            CC_FATAL("program exceeded ", max_steps, " steps");
-        step();
-    }
-    return {machine_.output(), machine_.exitCode(), inst_count_};
+    if (fetch_hook_.runCpu_)
+        return fetch_hook_.runCpu_(fetch_hook_.observer_, *this, max_steps);
+    if (fetch_hook_.each_)
+        return runWith(fetch_hook_, max_steps);
+    NoFetchObserver none;
+    return runWith(none, max_steps);
 }
 
 ExecResult

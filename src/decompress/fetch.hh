@@ -1,23 +1,43 @@
 /**
  * @file
- * The uniform fetch stream of both processors.
+ * The uniform fetch stream of both processors, and the hook that
+ * observes it.
  *
- * Cpu and CompressedCpu used to expose different ad-hoc surfaces (a
- * bare (addr, bytes) hook on one side, FetchStats counters on the
- * other). Every consumer -- cache models, the timing subsystem, the
- * traffic profiler -- actually wants the same thing: one event per
- * fetch-unit item carrying its memory footprint and what it retired.
- * Both processors now emit FetchEvent; FetchStats is just the default
- * accumulator over that stream.
+ * Every consumer of a run -- cache models, the timing subsystem, the
+ * traffic profiler -- wants the same thing: one event per fetch-unit
+ * item carrying its memory footprint and what it retired. Both
+ * processors emit FetchEvent; FetchStats is the default accumulator
+ * over that stream.
+ *
+ * Each processor has one step/run body, a header template over an
+ * observer whose `onFetch(const FetchEvent &)` the compiler inlines
+ * into the loop (Cpu::runWith, CompressedCpu::runWith). A FetchHook
+ * selects the instantiation that run() enters:
+ *
+ *  - no hook: the loop with an empty observer;
+ *  - a hook built from a per-event callable (a lambda): the loop calls
+ *    it through one std::function call per item, as step() does for
+ *    any hook;
+ *  - FetchHook::inlined(observer): the loop instantiated for the
+ *    observer's own type, with its onFetch inlined. The type erasure
+ *    happens once per run() instead of once per item.
+ *    timing::FetchTimer::hook() is built this way.
  */
 
 #ifndef CODECOMP_DECOMPRESS_FETCH_HH
 #define CODECOMP_DECOMPRESS_FETCH_HH
 
+#include <concepts>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
+#include <utility>
 
 namespace codecomp {
+
+class Cpu;
+class CompressedCpu;
+struct ExecResult;
 
 /**
  * One fetch-unit item, uniform across processors. For the plain Cpu an
@@ -38,9 +58,79 @@ struct FetchEvent
     uint32_t rank = 0;
 };
 
-/** Observe every fetch-unit item; fires after the item's effects land
- *  (so @p retired and @p taken are final), including the halting Sc. */
-using FetchHook = std::function<void(const FetchEvent &event)>;
+/** The run loops' observer when no hook is installed. */
+struct NoFetchObserver
+{
+    void onFetch(const FetchEvent &) const {}
+};
+
+/**
+ * Observe every fetch-unit item; fires after the item's effects land
+ * (so FetchEvent::retired and ::taken are final), including the halting
+ * Sc. Install with Cpu/CompressedCpu::setFetchHook.
+ */
+class FetchHook
+{
+  public:
+    /** No hook: the processor runs its unobserved loop. */
+    FetchHook() = default;
+
+    /** A generic per-event callable, called once per item. */
+    template <typename F>
+        requires(!std::same_as<std::remove_cvref_t<F>, FetchHook> &&
+                 std::invocable<F &, const FetchEvent &>)
+    FetchHook(F &&each) : each_(std::forward<F>(each))
+    {
+    }
+
+    /**
+     * A hook whose run() enters the processor's loop instantiated for
+     * @p observer's type, so `observer.onFetch(event)` is inlined into
+     * it; step() still reaches the observer through one indirect call.
+     * @p observer must outlive the processor's use of the hook.
+     */
+    template <typename Observer>
+    static FetchHook
+    inlined(Observer &observer)
+    {
+        FetchHook hook([&observer](const FetchEvent &event) {
+            observer.onFetch(event);
+        });
+        hook.observer_ = &observer;
+        hook.runCpu_ = &runInlined<Cpu, Observer>;
+        hook.runCompressed_ = &runInlined<CompressedCpu, Observer>;
+        return hook;
+    }
+
+    /** The per-event path: what step() and a lambda hook's run() call. */
+    void
+    onFetch(const FetchEvent &event) const
+    {
+        if (each_)
+            each_(event);
+    }
+
+  private:
+    friend class Cpu;
+    friend class CompressedCpu;
+
+    /** Entered by run(): the processor type is a template parameter so
+     *  that neither processor has to be complete in this header. */
+    template <typename Processor, typename Observer>
+    static auto
+    runInlined(void *observer, Processor &cpu, uint64_t max_steps)
+        -> decltype(cpu.runWith(*static_cast<Observer *>(observer),
+                                max_steps))
+    {
+        return cpu.runWith(*static_cast<Observer *>(observer), max_steps);
+    }
+
+    std::function<void(const FetchEvent &)> each_;
+    void *observer_ = nullptr;
+    ExecResult (*runCpu_)(void *, Cpu &, uint64_t) = nullptr;
+    ExecResult (*runCompressed_)(void *, CompressedCpu &,
+                                 uint64_t) = nullptr;
+};
 
 /** Fetch-path statistics (decode-efficiency discussion, paper 2.1),
  *  accumulated from the event stream. */

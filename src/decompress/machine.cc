@@ -1,11 +1,35 @@
 #include "decompress/machine.hh"
 
+#include <sys/mman.h>
+
+#include <new>
+
 #include "decompress/fault.hh"
 #include "support/logging.hh"
 
 namespace codecomp {
 
-Machine::Machine() : mem_(memBytes, 0)
+namespace {
+
+uint8_t *
+mapZeroedMemory()
+{
+    void *mem = mmap(nullptr, Machine::memBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (mem == MAP_FAILED)
+        throw std::bad_alloc();
+    return static_cast<uint8_t *>(mem);
+}
+
+} // namespace
+
+void
+Machine::Unmap::operator()(uint8_t *mem) const
+{
+    munmap(mem, memBytes);
+}
+
+Machine::Machine() : mem_(mapZeroedMemory())
 {
     gpr_[1] = stackTop;
 }
@@ -87,7 +111,7 @@ Machine::loadImage(uint32_t base, const std::vector<uint8_t> &bytes)
                                 "image of " +
                                     std::to_string(bytes.size()) +
                                     " bytes does not fit memory");
-    std::copy(bytes.begin(), bytes.end(), mem_.begin() + base);
+    std::copy(bytes.begin(), bytes.end(), mem_.get() + base);
 }
 
 void
@@ -356,18 +380,8 @@ Machine::stateHash() const
         h = fnvMix(h, static_cast<uint8_t>(cr_ >> (8 * i)));
     // Note: LR/CTR are deliberately excluded -- they hold code pointers,
     // which legitimately differ between address spaces.
-    for (uint8_t byte : mem_)
+    for (uint8_t byte : memory())
         h = fnvMix(h, byte);
-    return h;
-}
-
-uint64_t
-Machine::memHash(uint32_t begin, uint32_t end) const
-{
-    CC_ASSERT(begin <= end && end <= memBytes, "bad memHash range");
-    uint64_t h = fnvOffset;
-    for (uint32_t addr = begin; addr < end; ++addr)
-        h = fnvMix(h, mem_[addr]);
     return h;
 }
 

@@ -14,6 +14,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -92,13 +94,10 @@ class Machine
     void setStoreHook(StoreHook hook) { store_hook_ = std::move(hook); }
 
     /** Read-only view of the flat memory (differential state walks). */
-    const std::vector<uint8_t> &memory() const { return mem_; }
+    std::span<const uint8_t> memory() const { return {mem_.get(), memBytes}; }
 
     /** FNV-1a hash of registers + memory; used by equivalence tests. */
     uint64_t stateHash() const;
-
-    /** FNV-1a hash of the memory bytes in [@p begin, @p end) only. */
-    uint64_t memHash(uint32_t begin, uint32_t end) const;
 
   private:
     /** Set condition-register field @p crf from a three-way compare. */
@@ -106,7 +105,15 @@ class Machine
 
     void doSyscall();
 
-    std::vector<uint8_t> mem_;
+    struct Unmap
+    {
+        void operator()(uint8_t *mem) const;
+    };
+
+    /** memBytes of zero-filled memory, mapped on demand: a page costs
+     *  nothing until the program touches it, so constructing a Machine
+     *  neither clears nor faults in the whole address space. */
+    std::unique_ptr<uint8_t[], Unmap> mem_;
     uint32_t gpr_[isa::numGprs] = {};
     uint32_t lr_ = 0;
     uint32_t ctr_ = 0;

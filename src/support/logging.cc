@@ -33,12 +33,11 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 [[noreturn]] void
-fatalImpl(const char *file, int line, const std::string &msg)
+fatalImpl(const std::string &msg)
 {
     // Throw rather than exit(1) so that library users (and the test
     // suite) can observe user-level errors without losing the process.
-    throw std::runtime_error(std::string("fatal: ") + msg + " (" + file +
-                             ":" + std::to_string(line) + ")");
+    throw std::runtime_error("fatal: " + msg);
 }
 
 void

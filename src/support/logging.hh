@@ -64,8 +64,9 @@ formatMessage(Args &&...args)
 
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
+/** A user error reads as the message alone: no source location, which
+ *  would name a build path the user cannot act on. */
+[[noreturn]] void fatalImpl(const std::string &msg);
 void warnImpl(const char *file, int line, const std::string &msg);
 void informImpl(const std::string &msg);
 
@@ -78,7 +79,7 @@ void informImpl(const std::string &msg);
         ::codecomp::detail::formatMessage(__VA_ARGS__))
 
 #define CC_FATAL(...)                                                        \
-    ::codecomp::detail::fatalImpl(__FILE__, __LINE__,                        \
+    ::codecomp::detail::fatalImpl(                                           \
         ::codecomp::detail::formatMessage(__VA_ARGS__))
 
 #define CC_WARN(...)                                                         \

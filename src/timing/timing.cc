@@ -1,5 +1,6 @@
 #include "timing/timing.hh"
 
+#include "decompress/compressed_cpu.hh"
 #include "decompress/cpu.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
@@ -81,44 +82,24 @@ FetchTimer::FetchTimer(const TimingConfig &config)
         l2_.emplace(config_.l2);
 }
 
-void
-FetchTimer::onFetch(const FetchEvent &event)
+FetchHook
+FetchTimer::hook()
 {
-    ++items_;
-    instructions_ += event.retired;
-    fetchedBytes_ += event.bytes;
-    // Walk the L1 lines of the access explicitly (same line set and
-    // stats as ICache::access) so each missed line can be attributed
-    // to the level that serves the refill.
-    uint32_t line_bytes = config_.icache.lineBytes;
-    uint32_t first_line = event.addr / line_bytes;
-    uint32_t last_line =
-        (event.addr + (event.bytes ? event.bytes - 1 : 0)) / line_bytes;
-    for (uint32_t line = first_line; line <= last_line; ++line) {
-        if (icache_.touch(line * line_bytes))
-            continue;
-        if (!l2_) {
-            stallIcacheMiss_ += config_.lineFillCycles();
-        } else if (l2_->touch(line * line_bytes)) {
-            stallIcacheMiss_ += config_.l2FillCycles();
-        } else {
-            // Memory refills both levels; charged once, at L1-line
-            // granularity (critical-line-first for wider L2 lines).
-            stallL2Miss_ += config_.lineFillCycles();
-        }
+    return FetchHook::inlined(*this);
+}
+
+void
+FetchTimer::chargeRefill(uint32_t addr)
+{
+    if (!l2_) {
+        stallIcacheMiss_ += config_.lineFillCycles();
+    } else if (l2_->touch(addr)) {
+        stallIcacheMiss_ += config_.l2FillCycles();
+    } else {
+        // Memory refills both levels; charged once, at L1-line
+        // granularity (critical-line-first for wider L2 lines).
+        stallL2Miss_ += config_.lineFillCycles();
     }
-    if (event.isCodeword && event.retired > 1) {
-        // A pre-expanded entry streams from the decode cache in the
-        // fetch slot itself; only uncached ranks pay the expander.
-        if (event.rank < config_.decodedCacheRanks)
-            ++expansionCacheHits_;
-        else
-            stallExpansion_ += static_cast<uint64_t>(
-                                   config_.expansionCyclesPerWord) *
-                               (event.retired - 1);
-    }
-    if (event.taken)
-        stallRedirect_ += config_.redirectPenaltyCycles;
 }
 
 void

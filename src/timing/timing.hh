@@ -177,16 +177,44 @@ class FetchTimer
     /** Catchable fatal if @p config is invalid (timingConfigError). */
     explicit FetchTimer(const TimingConfig &config);
 
-    /** Charge one fetch-unit item. */
-    void onFetch(const FetchEvent &event);
-
-    /** A hook bound to this timer, for Cpu/CompressedCpu::setFetchHook.
-     *  The timer must outlive the processor's use of the hook. */
-    FetchHook
-    hook()
+    /** Charge one fetch-unit item. Defined here, and forced inline
+     *  (GCC's -O2 heuristics keep the line walk out of line otherwise),
+     *  so that the processors' run loops inline it (FetchHook::inlined).
+     *  The miss path, chargeRefill, stays out of line. */
+    [[gnu::always_inline]] void
+    onFetch(const FetchEvent &event)
     {
-        return [this](const FetchEvent &event) { onFetch(event); };
+        ++items_;
+        instructions_ += event.retired;
+        fetchedBytes_ += event.bytes;
+        // Walk the L1 lines of the access explicitly (same line set and
+        // stats as ICache::access) so each missed line can be attributed
+        // to the level that serves the refill (chargeRefill).
+        unsigned shift = icache_.lineShift();
+        uint32_t first_line = event.addr >> shift;
+        uint32_t last_line =
+            (event.addr + (event.bytes ? event.bytes - 1 : 0)) >> shift;
+        for (uint32_t line = first_line; line <= last_line; ++line)
+            if (!icache_.touchLine(line))
+                chargeRefill(line << shift);
+        if (event.isCodeword && event.retired > 1) {
+            // A pre-expanded entry streams from the decode cache in the
+            // fetch slot itself; only uncached ranks pay the expander.
+            if (event.rank < config_.decodedCacheRanks)
+                ++expansionCacheHits_;
+            else
+                stallExpansion_ += static_cast<uint64_t>(
+                                       config_.expansionCyclesPerWord) *
+                                   (event.retired - 1);
+        }
+        if (event.taken)
+            stallRedirect_ += config_.redirectPenaltyCycles;
     }
+
+    /** A hook bound to this timer, for Cpu/CompressedCpu::setFetchHook:
+     *  run() enters the processor's loop with onFetch inlined. The
+     *  timer must outlive the processor's use of the hook. */
+    FetchHook hook();
 
     /** Forget everything, including cache contents. */
     void reset();
@@ -200,6 +228,9 @@ class FetchTimer
     const cache::ICache *l2() const { return l2_ ? &*l2_ : nullptr; }
 
   private:
+    /** Charge the refill of the L1 line at @p addr that just missed. */
+    void chargeRefill(uint32_t addr);
+
     TimingConfig config_;
     cache::ICache icache_;
     std::optional<cache::ICache> l2_;

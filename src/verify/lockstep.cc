@@ -332,9 +332,12 @@ Verifier::compareState(const isa::Inst &inst, bool synthetic_group)
 {
     const Machine &nm = native_.machine();
     const Machine &cm = compressed_.machine();
-    std::string after =
-        " after " + isa::disassemble(inst, 0) +
-        (synthetic_group ? " (far-branch stub boundary)" : "");
+    // Only a captured divergence reads this text, so the clean path
+    // never disassembles.
+    auto after = [&inst, synthetic_group] {
+        return " after " + isa::disassemble(inst, 0) +
+               (synthetic_group ? " (far-branch stub boundary)" : "");
+    };
 
     for (unsigned n = 0; n < isa::numGprs; ++n) {
         if (excludeR2_ && n == 2)
@@ -342,17 +345,17 @@ Verifier::compareState(const isa::Inst &inst, bool synthetic_group)
         if (!equalOrMapped(nm.gpr(n), cm.gpr(n)))
             capture("gpr", "r" + std::to_string(n) + " native " +
                                hex32(nm.gpr(n)) + " vs compressed " +
-                               hex32(cm.gpr(n)) + after);
+                               hex32(cm.gpr(n)) + after());
     }
     if (nm.cr() != cm.cr())
         capture("cr", "CR native " + hex32(nm.cr()) + " vs compressed " +
-                          hex32(cm.cr()) + after);
+                          hex32(cm.cr()) + after());
     if (!equalOrMapped(nm.lr(), cm.lr()))
         capture("lr", "LR native " + hex32(nm.lr()) + " vs compressed " +
-                          hex32(cm.lr()) + after);
+                          hex32(cm.lr()) + after());
     if (!ctrPoisoned_ && !equalOrMapped(nm.ctr(), cm.ctr()))
         capture("ctr", "CTR native " + hex32(nm.ctr()) +
-                           " vs compressed " + hex32(cm.ctr()) + after);
+                           " vs compressed " + hex32(cm.ctr()) + after());
 
     compareStores();
     compareOutput();
@@ -416,6 +419,8 @@ Verifier::compareOutput()
  * compressed machine keeps no bytes there). Mismatching aligned words
  * are accepted iff they are pointer-equivalent: patched jump-table
  * slots and stack-saved LR values legitimately differ between spaces.
+ * One memcmp per region settles the common clean case; only a region
+ * whose bytes differ is walked.
  */
 void
 Verifier::fullStateCheck(const char *when)
@@ -423,15 +428,16 @@ Verifier::fullStateCheck(const char *when)
     ++result_.fullStateChecks;
     const Machine &nm = native_.machine();
     const Machine &cm = compressed_.machine();
-    const std::vector<uint8_t> &nmem = nm.memory();
-    const std::vector<uint8_t> &cmem = cm.memory();
+    std::span<const uint8_t> nmem = nm.memory();
+    std::span<const uint8_t> cmem = cm.memory();
 
     uint32_t text_end = Program::textBase + program_.textBytes();
     const std::pair<uint32_t, uint32_t> regions[2] = {
         {0, Program::textBase}, {text_end, Machine::memBytes}};
 
     for (const auto &[begin, end] : regions) {
-        if (nm.memHash(begin, end) == cm.memHash(begin, end))
+        if (std::memcmp(nmem.data() + begin, cmem.data() + begin,
+                        end - begin) == 0)
             continue;
         uint32_t addr = begin;
         while (addr < end) {

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "cache/icache.hh"
 #include "compress/compressor.hh"
 #include "decompress/compressed_cpu.hh"
@@ -150,6 +154,121 @@ TEST(ICache, RejectsBadGeometry)
     EXPECT_NE(cacheConfigError({100, 32, 1}).find("whole number"),
               std::string::npos);
     EXPECT_EQ(cacheConfigError({1024, 32, 2}), "");
+}
+
+/**
+ * The division formulas ICache's precomputed shifts and mask replace,
+ * as an independent model: line = addr / lineBytes, set = line % sets,
+ * tag = line / sets, LRU over a use counter with the lowest way
+ * winning ties.
+ */
+class DivisionCache
+{
+  public:
+    explicit DivisionCache(const CacheConfig &config)
+        : config_(config), tags_(config.numSets() * config.ways, none),
+          uses_(tags_.size(), 0)
+    {
+    }
+
+    unsigned
+    access(uint32_t addr, uint32_t bytes)
+    {
+        unsigned missed = 0;
+        for (uint32_t line = addr / config_.lineBytes;
+             line <= (addr + bytes - 1) / config_.lineBytes; ++line)
+            missed += !touch(line * config_.lineBytes);
+        return missed;
+    }
+
+    bool
+    touch(uint32_t addr)
+    {
+        uint32_t line = addr / config_.lineBytes;
+        size_t base = (line % config_.numSets()) * config_.ways;
+        uint64_t tag = line / config_.numSets();
+        ++stats.accesses;
+        ++tick_;
+        size_t victim = base;
+        for (size_t w = base; w < base + config_.ways; ++w) {
+            if (tags_[w] == tag) {
+                uses_[w] = tick_;
+                return true;
+            }
+            if (uses_[w] < uses_[victim])
+                victim = w;
+        }
+        ++stats.misses;
+        ++stats.lineFills;
+        stats.evictions += tags_[victim] != none;
+        tags_[victim] = tag;
+        uses_[victim] = tick_;
+        return false;
+    }
+
+    CacheStats stats;
+
+  private:
+    static constexpr uint64_t none = UINT64_MAX;
+    CacheConfig config_;
+    std::vector<uint64_t> tags_;
+    std::vector<uint64_t> uses_;
+    uint64_t tick_ = 0;
+};
+
+TEST(ICache, ShiftMaskMatchesDivisionOnEveryGeometry)
+{
+    // Every valid geometry up to 64 KiB with 1-8 ways, driven by a
+    // seeded stream of sequential runs, random jumps and straddling
+    // accesses, plus single-line probes and the top of the address
+    // space (where tags are widest).
+    std::mt19937 rng(20240611);
+    unsigned geometries = 0;
+    for (uint32_t line = 4; line <= 65536; line *= 2) {
+        for (uint32_t ways = 1; ways <= 8; ++ways) {
+            for (uint32_t sets = 1;
+                 uint64_t{line} * ways * sets <= 65536; sets *= 2) {
+                CacheConfig config{line * ways * sets, line, ways};
+                ASSERT_EQ(cacheConfigError(config), "");
+                ICache cache(config);
+                DivisionCache reference(config);
+                uint32_t span = 4 * config.capacityBytes;
+                uint32_t addr = 0;
+                for (int i = 0; i < 1500; ++i) {
+                    uint32_t bytes = 1 + rng() % 16;
+                    switch (rng() % 8) {
+                      case 0:
+                        addr = rng() % span;
+                        break;
+                      case 1:
+                        addr = 0xFFFFFF00u - rng() % span;
+                        break;
+                      case 2:
+                        // Straddle a line boundary.
+                        addr = (rng() % span) / line * line + line -
+                               1 - rng() % std::min(bytes, line);
+                        break;
+                      case 3:
+                        ASSERT_EQ(cache.touch(addr), reference.touch(addr))
+                            << line << ":" << ways << ":" << sets;
+                        continue;
+                      default:
+                        addr += bytes;
+                        break;
+                    }
+                    ASSERT_EQ(cache.access(addr, bytes),
+                              reference.access(addr, bytes))
+                        << line << ":" << ways << ":" << sets << " @"
+                        << addr << "+" << bytes;
+                }
+                ASSERT_EQ(cache.stats(), reference.stats)
+                    << line << ":" << ways << ":" << sets;
+                ++geometries;
+            }
+        }
+    }
+    // 15 line sizes x 8 ways x every power-of-two set count that fits.
+    EXPECT_EQ(geometries, 719u);
 }
 
 TEST(FetchHooks, NativeFetchCountMatchesInstCount)

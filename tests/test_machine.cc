@@ -236,18 +236,6 @@ TEST(MachineState, HashChangesWithState)
     EXPECT_NE(a.stateHash(), b.stateHash());
 }
 
-TEST(MachineState, MemHashCoversOnlyTheRequestedRange)
-{
-    Machine a, b;
-    b.storeWord(0x1000, 0xdeadbeef);
-    EXPECT_NE(a.memHash(0x1000, 0x1004), b.memHash(0x1000, 0x1004));
-    // Outside the dirtied word the ranges still hash equal.
-    EXPECT_EQ(a.memHash(0, 0x1000), b.memHash(0, 0x1000));
-    EXPECT_EQ(a.memHash(0x1004, 0x2000), b.memHash(0x1004, 0x2000));
-    // An empty range hashes equal regardless of contents.
-    EXPECT_EQ(a.memHash(0x1000, 0x1000), b.memHash(0x1000, 0x1000));
-}
-
 TEST(MachineState, StoreHookSeesEveryArchitecturalStore)
 {
     Machine m;

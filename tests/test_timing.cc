@@ -16,6 +16,8 @@
 #include "compress/compressor.hh"
 #include "decompress/compressed_cpu.hh"
 #include "decompress/cpu.hh"
+#include "decompress/fault.hh"
+#include "isa/builder.hh"
 #include "support/thread_pool.hh"
 #include "timing/timing.hh"
 #include "workloads/workloads.hh"
@@ -343,6 +345,209 @@ TEST(TimingL2Hierarchy, AddingL2NeverIncreasesCycles)
         EXPECT_EQ(two.stallExpansion, flat.stallExpansion) << name;
         EXPECT_EQ(two.stallRedirect, flat.stallRedirect) << name;
     }
+}
+
+// ---------------- the fetch-observer seam ----------------
+//
+// Each processor has one step body instantiated per observer
+// (fetch.hh): FetchTimer::hook() runs it with onFetch inlined, a lambda
+// hook calls through std::function per item, and step() takes the
+// per-item path whatever the hook. All three must see one stream.
+
+/** A model that reaches every charge: an L2 behind a small L1, and a
+ *  decoded cache over the four hottest ranks. */
+TimingConfig
+seamModel()
+{
+    TimingConfig config = testModelL2();
+    config.icache = {1024, 16, 2};
+    config.decodedCacheRanks = 4;
+    return config;
+}
+
+/** One processor's run three ways, plus an unhooked run. */
+struct SeamRuns
+{
+    TimingReport inlined, perEvent, stepped;
+    FetchStats inlinedStats, perEventStats, steppedStats, plainStats;
+    ExecResult inlinedResult, perEventResult, plainResult;
+};
+
+template <typename AnyCpu, typename Source>
+SeamRuns
+runSeam(const Source &source)
+{
+    SeamRuns runs;
+    {
+        FetchTimer timer(seamModel());
+        AnyCpu cpu(source);
+        cpu.setFetchHook(timer.hook());
+        runs.inlinedResult = cpu.run();
+        runs.inlined = timer.report();
+        runs.inlinedStats = cpu.fetchStats();
+    }
+    {
+        FetchTimer timer(seamModel());
+        AnyCpu cpu(source);
+        cpu.setFetchHook(
+            [&timer](const FetchEvent &event) { timer.onFetch(event); });
+        runs.perEventResult = cpu.run();
+        runs.perEvent = timer.report();
+        runs.perEventStats = cpu.fetchStats();
+    }
+    {
+        FetchTimer timer(seamModel());
+        AnyCpu cpu(source);
+        cpu.setFetchHook(timer.hook());
+        while (cpu.step()) {
+        }
+        runs.stepped = timer.report();
+        runs.steppedStats = cpu.fetchStats();
+    }
+    AnyCpu cpu(source);
+    runs.plainResult = cpu.run();
+    runs.plainStats = cpu.fetchStats();
+    return runs;
+}
+
+void
+expectSeamAgrees(const SeamRuns &runs)
+{
+    EXPECT_EQ(runs.inlined, runs.perEvent);
+    EXPECT_EQ(runs.inlined, runs.stepped);
+    EXPECT_EQ(runs.inlined.toJson(), runs.perEvent.toJson());
+    EXPECT_GT(runs.inlined.l2.accesses, 0u);
+    EXPECT_EQ(runs.inlinedStats, runs.plainStats);
+    EXPECT_EQ(runs.perEventStats, runs.plainStats);
+    EXPECT_EQ(runs.steppedStats, runs.plainStats);
+    EXPECT_EQ(runs.inlinedResult, runs.plainResult);
+    EXPECT_EQ(runs.perEventResult, runs.plainResult);
+    EXPECT_EQ(runs.inlined.items, runs.plainStats.itemFetches);
+    EXPECT_EQ(runs.inlined.instructions, runs.plainResult.instCount);
+}
+
+class TimingHookSeam
+    : public ::testing::TestWithParam<
+          std::tuple<std::string, compress::Scheme>>
+{
+};
+
+TEST_P(TimingHookSeam, InlinedPerEventAndSteppedReportsAgree)
+{
+    const auto &[name, scheme] = GetParam();
+    Program program = workloads::buildBenchmark(name);
+    compress::CompressorConfig config;
+    config.scheme = scheme;
+    compress::CompressedImage image =
+        compress::compressProgram(program, config);
+
+    SeamRuns compressed = runSeam<CompressedCpu>(image);
+    expectSeamAgrees(compressed);
+    // The native stream does not depend on the scheme; time it once.
+    if (scheme == compress::allSchemes().front())
+        expectSeamAgrees(runSeam<Cpu>(program));
+    EXPECT_EQ(compressed.plainResult.output,
+              runProgram(program).output);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, TimingHookSeam,
+    ::testing::Combine(::testing::ValuesIn(workloads::benchmarkNames()),
+                       ::testing::ValuesIn(compress::allSchemes())),
+    [](const auto &info) {
+        return std::get<0>(info.param) + "_" +
+               compress::schemeTestName(std::get<1>(info.param));
+    });
+
+TEST(TimingHookSeamFaults, BudgetOverrunIsCatchableThroughInlinedHook)
+{
+    Program program = workloads::buildBenchmark("li");
+    compress::CompressorConfig config;
+    config.scheme = compress::Scheme::Nibble;
+    compress::CompressedImage image =
+        compress::compressProgram(program, config);
+    ExecResult reference = runProgram(program);
+
+    FetchTimer compressedTimer(seamModel());
+    CompressedCpu ccpu(image);
+    ccpu.setFetchHook(compressedTimer.hook());
+    try {
+        ccpu.run(1000);
+        FAIL() << "budget overrun went unnoticed";
+    } catch (const std::runtime_error &error) {
+        EXPECT_STREQ(error.what(),
+                     "fatal: compressed program exceeded 1000 steps");
+    }
+    EXPECT_EQ(ccpu.instCount(), 1000u);
+    // The budget guard restored the unbudgeted default: stepping on
+    // past the old limit runs to the halt.
+    while (ccpu.step()) {
+    }
+    EXPECT_TRUE(ccpu.machine().halted());
+
+    FetchTimer nativeTimer(seamModel());
+    Cpu cpu(program);
+    cpu.setFetchHook(nativeTimer.hook());
+    EXPECT_THROW(cpu.run(1000), std::runtime_error);
+    EXPECT_EQ(cpu.instCount(), 1000u);
+    EXPECT_EQ(cpu.run(), reference);
+    EXPECT_EQ(nativeTimer.report().instructions, reference.instCount);
+}
+
+/** lis/ori/mtlr load a misaligned native text address into LR, then
+ *  blr consumes it. */
+Program
+badLrProgram()
+{
+    Program p;
+    for (const isa::Inst &inst :
+         {isa::lis(4, 1), isa::ori(4, 4, 6), isa::mtlr(4), isa::blr(),
+          isa::li(0, 0), isa::sc()})
+        p.text.push_back(isa::encode(inst));
+    p.entryIndex = 0;
+    p.finalize();
+    return p;
+}
+
+/** Run @p cpu to its machine check; returns (fault, address, text). */
+template <typename AnyCpu>
+std::tuple<MachineFault, uint32_t, std::string>
+machineCheckOf(AnyCpu &cpu)
+{
+    try {
+        cpu.run();
+    } catch (const MachineCheckError &error) {
+        return {error.fault(), error.addr(), error.what()};
+    }
+    ADD_FAILURE() << "corrupt LR went unnoticed";
+    return {};
+}
+
+TEST(TimingHookSeamFaults, CorruptLrRaisesTheSameMachineCheck)
+{
+    Program program = badLrProgram();
+    compress::CompressorConfig config;
+    config.scheme = compress::Scheme::Nibble;
+    compress::CompressedImage image =
+        compress::compressProgram(program, config);
+
+    FetchTimer timer(seamModel());
+    Cpu plain(program), hooked(program);
+    hooked.setFetchHook(timer.hook());
+    auto native = machineCheckOf(plain);
+    EXPECT_EQ(std::get<0>(native), MachineFault::MisalignedPc);
+    EXPECT_EQ(machineCheckOf(hooked), native);
+
+    FetchTimer compressedTimer(seamModel());
+    CompressedCpu cplain(image), chooked(image);
+    chooked.setFetchHook(compressedTimer.hook());
+    auto compressed = machineCheckOf(cplain);
+    EXPECT_EQ(std::get<0>(compressed), MachineFault::FetchOutOfText);
+    EXPECT_EQ(std::get<1>(compressed), 0x00010006u);
+    EXPECT_EQ(machineCheckOf(chooked), compressed);
+    // The blr retired before its target check faulted, on both paths.
+    EXPECT_EQ(chooked.instCount(), 4u);
+    EXPECT_EQ(cplain.instCount(), 4u);
 }
 
 } // namespace
