@@ -4,8 +4,6 @@
 #include <filesystem>
 #include <system_error>
 
-#include <unistd.h>
-
 #include "compress/objfile.hh"
 #include "support/logging.hh"
 #include "support/serialize.hh"
@@ -26,21 +24,21 @@ hashFields(uint64_t seed, const std::vector<uint64_t> &fields)
 }
 
 /**
- * Persistent entry file layout (big-endian, support/serialize.hh):
+ * A persistent entry file is the checksummed envelope
+ * (support/serialize.hh) around this payload (big-endian):
  *
- *   u32  magic   "CCCH"
- *   u16  version (kStoreVersion; bumped when the payload shape changes)
  *   u8   kind    (1 = Enumerate, 2 = Select)
  *   u64  key     (must match the file's own name)
- *   blob payload (serializeCandidates / serializeSelection)
- *   u64  checksum = fnv1a64(payload)
+ *   the product (putCandidates / putSelection)
  *
  * Anything that deviates -- magic, version, kind, key, checksum,
  * truncation, trailing bytes, or a payload that fails structural
- * parsing -- quarantines the file and reads as a miss.
+ * parsing -- quarantines the file and reads as a miss. v2 moved the
+ * kind and key from a hand-written header into the payload, so a v1
+ * entry reads as corrupt and is recomputed.
  */
 constexpr uint32_t kStoreMagic = 0x43434348; // "CCCH"
-constexpr uint16_t kStoreVersion = 1;
+constexpr uint32_t kStoreVersion = 2;
 
 uint64_t
 approxCandidateBytes(const PipelineCache::CandidateList &candidates)
@@ -62,16 +60,53 @@ approxSelectionBytes(const CachedSelection &cached)
     return bytes;
 }
 
+void
+putCandidates(ByteSink &sink, const PipelineCache::CandidateList &candidates)
+{
+    sink.put32(static_cast<uint32_t>(candidates.size()));
+    for (const Candidate &c : candidates) {
+        sink.put32(static_cast<uint32_t>(c.seq.size()));
+        for (isa::Word word : c.seq)
+            sink.put32(word);
+        sink.put32(static_cast<uint32_t>(c.positions.size()));
+        for (uint32_t pos : c.positions)
+            sink.put32(pos);
+    }
+}
+
+void
+putSelection(ByteSink &sink, const CachedSelection &cached)
+{
+    sink.put32(
+        static_cast<uint32_t>(cached.selection.dict.entries.size()));
+    for (const auto &entry : cached.selection.dict.entries) {
+        sink.put32(static_cast<uint32_t>(entry.size()));
+        for (isa::Word word : entry)
+            sink.put32(word);
+    }
+    sink.put32(static_cast<uint32_t>(cached.selection.placements.size()));
+    for (const Placement &p : cached.selection.placements) {
+        sink.put32(p.start);
+        sink.put32(p.length);
+        sink.put32(p.entryId);
+    }
+    sink.put32(static_cast<uint32_t>(cached.selection.useCount.size()));
+    for (uint32_t count : cached.selection.useCount)
+        sink.put32(count);
+    sink.put32(cached.rounds);
+}
+
 PipelineCache::CandidateList
 parseCandidates(ByteSource &source)
 {
-    source.setContext("cached candidate list");
-    PipelineCache::CandidateList candidates(source.get32());
+    // A candidate is at least its two counts; a word or position 4.
+    PipelineCache::CandidateList candidates(
+        source.getCount(8, "candidates"));
     for (Candidate &c : candidates) {
-        c.seq.resize(source.get32());
+        c.seq.resize(source.getCount(4, "words"));
         for (isa::Word &word : c.seq)
             word = source.get32();
-        c.positions.resize(source.get32());
+        c.positions.resize(source.getCount(4, "positions"));
         for (uint32_t &pos : c.positions)
             pos = source.get32();
     }
@@ -81,21 +116,20 @@ parseCandidates(ByteSource &source)
 CachedSelection
 parseSelection(ByteSource &source)
 {
-    source.setContext("cached selection");
     CachedSelection cached;
-    cached.selection.dict.entries.resize(source.get32());
+    cached.selection.dict.entries.resize(source.getCount(4, "entries"));
     for (auto &entry : cached.selection.dict.entries) {
-        entry.resize(source.get32());
+        entry.resize(source.getCount(4, "words"));
         for (isa::Word &word : entry)
             word = source.get32();
     }
-    cached.selection.placements.resize(source.get32());
+    cached.selection.placements.resize(source.getCount(12, "placements"));
     for (Placement &p : cached.selection.placements) {
         p.start = source.get32();
         p.length = source.get32();
         p.entryId = source.get32();
     }
-    cached.selection.useCount.resize(source.get32());
+    cached.selection.useCount.resize(source.getCount(4, "use counts"));
     for (uint32_t &count : cached.selection.useCount)
         count = source.get32();
     cached.rounds = source.get32();
@@ -114,46 +148,6 @@ entryPath(const std::string &dir, bool enumerate, uint64_t key)
 }
 
 } // namespace
-
-std::vector<uint8_t>
-serializeCandidates(const PipelineCache::CandidateList &candidates)
-{
-    ByteSink sink;
-    sink.put32(static_cast<uint32_t>(candidates.size()));
-    for (const Candidate &c : candidates) {
-        sink.put32(static_cast<uint32_t>(c.seq.size()));
-        for (isa::Word word : c.seq)
-            sink.put32(word);
-        sink.put32(static_cast<uint32_t>(c.positions.size()));
-        for (uint32_t pos : c.positions)
-            sink.put32(pos);
-    }
-    return sink.take();
-}
-
-std::vector<uint8_t>
-serializeSelection(const CachedSelection &cached)
-{
-    ByteSink sink;
-    sink.put32(
-        static_cast<uint32_t>(cached.selection.dict.entries.size()));
-    for (const auto &entry : cached.selection.dict.entries) {
-        sink.put32(static_cast<uint32_t>(entry.size()));
-        for (isa::Word word : entry)
-            sink.put32(word);
-    }
-    sink.put32(static_cast<uint32_t>(cached.selection.placements.size()));
-    for (const Placement &p : cached.selection.placements) {
-        sink.put32(p.start);
-        sink.put32(p.length);
-        sink.put32(p.entryId);
-    }
-    sink.put32(static_cast<uint32_t>(cached.selection.useCount.size()));
-    for (uint32_t count : cached.selection.useCount)
-        sink.put32(count);
-    sink.put32(cached.rounds);
-    return sink.take();
-}
 
 uint64_t
 PipelineCache::programHash(const Program &program)
@@ -386,31 +380,18 @@ PipelineCache::persist(const std::string &dir, Kind kind, uint64_t key,
     if (std::filesystem::exists(path, ec))
         return false; // an identical product is already on disk
 
-    ByteSink sink;
-    sink.put32(kStoreMagic);
-    sink.put16(kStoreVersion);
-    sink.put8(static_cast<uint8_t>(kind));
-    sink.put64(key);
-    std::vector<uint8_t> payload =
-        kind == Kind::Enumerate ? serializeCandidates(*product.candidates)
-                                : serializeSelection(*product.selection);
-    uint64_t checksum = fnv1a64(payload);
-    sink.putBlob(payload);
-    sink.put64(checksum);
-
-    // Temp-file + rename: a crash mid-write leaves a .tmp file (ignored
-    // by readers), never a half-written entry under the real name.
-    std::string temp = path + ".tmp" + std::to_string(::getpid());
-    if (tryWriteFile(temp, sink.bytes())) {
-        CC_WARN("cache store write failed for '", temp,
-                "'; entry not persisted");
-        return false;
-    }
-    std::filesystem::rename(temp, path, ec);
-    if (ec) {
-        CC_WARN("cache store rename failed for '", path, "': ",
-                ec.message());
-        std::filesystem::remove(temp, ec);
+    ByteSink payload;
+    payload.put8(static_cast<uint8_t>(kind));
+    payload.put64(key);
+    if (kind == Kind::Enumerate)
+        putCandidates(payload, *product.candidates);
+    else
+        putSelection(payload, *product.selection);
+    if (std::optional<LoadError> error = tryWriteFileAtomic(
+            path, sealEnvelope(kStoreMagic, kStoreVersion,
+                               payload.bytes()))) {
+        CC_WARN("cache store write failed (", error->message(),
+                "); entry not persisted");
         return false;
     }
     return true;
@@ -424,49 +405,31 @@ PipelineCache::loadFromDisk(const std::string &dir, Kind kind, uint64_t key,
     Result<std::vector<uint8_t>> bytes = tryReadFile(path);
     if (!bytes.ok())
         return DiskRead::Absent;
-    try {
-        ByteSource source(bytes.value());
-        source.setContext("cache entry header");
-        if (source.get32() != kStoreMagic)
-            throw LoadFailure({LoadStatus::BadMagic, 0,
-                               "cache entry header", path});
-        if (source.get16() != kStoreVersion)
-            throw LoadFailure({LoadStatus::BadVersion, 4,
-                               "cache entry header", path});
-        if (source.get8() != static_cast<uint8_t>(kind) ||
-            source.get64() != key)
-            throw LoadFailure({LoadStatus::BadValue, 6,
-                               "cache entry header",
-                               "kind/key mismatch: " + path});
-        std::vector<uint8_t> payload = source.getBlob();
-        uint64_t checksum = source.get64();
-        if (!source.atEnd())
-            throw LoadFailure({LoadStatus::TrailingBytes, source.pos(),
-                               "cache entry", path});
-        if (fnv1a64(payload) != checksum)
-            throw LoadFailure({LoadStatus::BadChecksum, 0,
-                               "cache entry payload", path});
-        ByteSource body(payload);
-        if (kind == Kind::Enumerate)
-            out.candidates = std::make_shared<const CandidateList>(
-                parseCandidates(body));
-        else
-            out.selection = std::make_shared<const CachedSelection>(
-                parseSelection(body));
-        if (!body.atEnd())
-            throw LoadFailure({LoadStatus::TrailingBytes, body.pos(),
-                               "cache entry payload", path});
-    } catch (const std::exception &) {
-        // Damaged entry (LoadFailure, or bad_alloc from an absurd
-        // declared count): quarantine it so the key recomputes cleanly
+    Result<Product> loaded = parseEnvelope(
+        bytes.value(), kStoreMagic, kStoreVersion, "cache entry",
+        [kind, key](ByteSource &body) {
+            if (body.get8() != static_cast<uint8_t>(kind) ||
+                body.get64() != key)
+                body.fail(LoadStatus::BadValue, "kind/key mismatch");
+            Product product;
+            if (kind == Kind::Enumerate)
+                product.candidates = std::make_shared<const CandidateList>(
+                    parseCandidates(body));
+            else
+                product.selection = std::make_shared<const CachedSelection>(
+                    parseSelection(body));
+            return product;
+        });
+    if (!loaded.ok()) {
+        // Damaged entry: quarantine it so the key recomputes cleanly
         // (and the file stays inspectable), and read it as a miss.
-        out = {};
         std::error_code ec;
         std::filesystem::rename(path, path + ".quarantined", ec);
         if (ec)
             std::filesystem::remove(path, ec);
         return DiskRead::Corrupt;
     }
+    out = loaded.take();
     return DiskRead::Loaded;
 }
 

@@ -42,8 +42,8 @@
  *    Stats::evictions counter reports how often the cap bit);
  *  - a crash-safe persistent backing store: setDiskStore() points the
  *    cache at a directory where every product is also written as one
- *    file -- temp-file + atomic rename, a versioned header, and an
- *    FNV-1a64 payload checksum. In-memory misses fall back to disk,
+ *    file -- temp-file + atomic rename (tryWriteFileAtomic), sealed in
+ *    the checksummed envelope (support/serialize.hh). In-memory misses fall back to disk,
  *    so a warm directory survives process restarts (and is how the
  *    farm's isolated workers share work). Only the claimant of a key
  *    reads and writes its file, so no two threads of a process touch
@@ -233,14 +233,6 @@ class PipelineCache
         std::promise<Product> promise_;
     };
 };
-
-/** @{ Serialized form of the cached products -- the payload of the
- *  persistent store's entry files (format in cache.cc). Exposed for
- *  the corruption tests, which build damaged payloads on purpose. */
-std::vector<uint8_t>
-serializeCandidates(const PipelineCache::CandidateList &candidates);
-std::vector<uint8_t> serializeSelection(const CachedSelection &selection);
-/** @} */
 
 } // namespace codecomp::compress
 

@@ -1,8 +1,5 @@
 #include "compress/objfile.hh"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "isa/inst.hh"
 #include "support/serialize.hh"
 
@@ -12,88 +9,10 @@ namespace {
 
 constexpr uint32_t programMagic = 0x43435052;   // "CCPR"
 constexpr uint32_t imageMagic = 0x4343494d;     // "CCIM"
-// v2 wraps the payload in a 64-bit FNV-1a checksum; v1 files (no
+// v2 sealed the payload in the checksummed envelope; v1 files (no
 // checksum) are no longer accepted -- nothing outside this repository
 // ever produced them.
 constexpr uint32_t formatVersion = 2;
-
-void
-putRange(ByteSink &sink, const InstRange &range)
-{
-    sink.put32(range.first);
-    sink.put32(range.count);
-}
-
-InstRange
-getRange(ByteSource &source)
-{
-    InstRange range;
-    range.first = source.get32();
-    range.count = source.get32();
-    return range;
-}
-
-LoadError
-badValue(const ByteSource &source, std::string detail)
-{
-    return LoadError{LoadStatus::BadValue, source.pos(), source.context(),
-                     std::move(detail)};
-}
-
-std::string
-hex64(uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, v);
-    return buf;
-}
-
-/**
- * Parse and verify the common v2 container: magic, version, checksum,
- * payload blob, no trailing bytes. On success the checksummed payload
- * is left in @p payload.
- */
-std::optional<LoadError>
-openContainer(const std::vector<uint8_t> &bytes, uint32_t magic,
-              const char *what, std::vector<uint8_t> &payload)
-{
-    ByteSource source(bytes);
-    source.setContext(std::string(what) + " header");
-    if (source.get32() != magic)
-        return LoadError{LoadStatus::BadMagic, 0, source.context(),
-                         std::string("not a ") + what + " file"};
-    uint32_t version = source.get32();
-    if (version != formatVersion)
-        return LoadError{LoadStatus::BadVersion, 4, source.context(),
-                         "unsupported " + std::string(what) + " version " +
-                             std::to_string(version) + " (expected " +
-                             std::to_string(formatVersion) + ")"};
-    uint64_t stored = source.get64();
-    payload = source.getBlob();
-    if (!source.atEnd())
-        return LoadError{LoadStatus::TrailingBytes, source.pos(),
-                         source.context(),
-                         std::to_string(source.remaining()) +
-                             " byte(s) after the payload"};
-    uint64_t computed = fnv1a64(payload);
-    if (computed != stored)
-        return LoadError{LoadStatus::BadChecksum, 8, source.context(),
-                         "stored " + hex64(stored) + " != computed " +
-                             hex64(computed)};
-    return std::nullopt;
-}
-
-/** Wrap a finished payload in the v2 container. */
-std::vector<uint8_t>
-sealContainer(uint32_t magic, std::vector<uint8_t> payload)
-{
-    ByteSink sink;
-    sink.put32(magic);
-    sink.put32(formatVersion);
-    sink.put64(fnv1a64(payload));
-    sink.putBlob(payload);
-    return sink.take();
-}
 
 } // namespace
 
@@ -113,99 +32,43 @@ saveProgram(const Program &program)
         sink.put32(reloc.targetIndex);
     }
 
-    sink.put32(static_cast<uint32_t>(program.functions.size()));
-    for (const FunctionSymbol &fn : program.functions) {
-        sink.putString(fn.name);
-        putRange(sink, fn.body);
-        putRange(sink, fn.prologue);
-        sink.put32(static_cast<uint32_t>(fn.epilogues.size()));
-        for (const InstRange &ep : fn.epilogues)
-            putRange(sink, ep);
-    }
+    putFunctions(sink, program.functions);
 
     sink.put32(program.entryIndex);
-    return sealContainer(programMagic, sink.take());
+    return sealEnvelope(programMagic, formatVersion, sink.bytes());
 }
 
 Result<Program>
 tryLoadProgram(const std::vector<uint8_t> &bytes)
 {
-    std::vector<uint8_t> payload;
-    try {
-        if (std::optional<LoadError> error =
-                openContainer(bytes, programMagic, ".ccp program", payload))
+    Result<Program> program = parseEnvelope(
+        bytes, programMagic, formatVersion, ".ccp program",
+        [](ByteSource &source) {
+            Program program;
+            program.text.resize(source.getCount(4, "instructions"));
+            for (isa::Word &word : program.text)
+                word = source.get32();
+            program.data = source.getBlob();
+            program.codeRelocs.resize(source.getCount(8, "relocations"));
+            for (CodeReloc &reloc : program.codeRelocs) {
+                reloc.dataOffset = source.get32();
+                reloc.targetIndex = source.get32();
+            }
+            program.functions = getFunctions(source);
+            program.entryIndex = source.get32();
+            program.computeDataBase();
+            return program;
+        });
+    if (program.ok())
+        if (std::optional<LoadError> error = program.value().validate())
             return *error;
-
-        ByteSource source(payload);
-        source.setContext(".ccp payload");
-
-        Program program;
-        uint32_t text_count = source.get32();
-        // Bound declared counts by the remaining payload before any
-        // reserve: a lying count must fail cleanly, not allocate.
-        if (text_count > source.remaining() / 4)
-            return badValue(source,
-                            "declared " + std::to_string(text_count) +
-                                " instructions exceed the payload");
-        program.text.reserve(text_count);
-        for (uint32_t i = 0; i < text_count; ++i)
-            program.text.push_back(source.get32());
-
-        program.data = source.getBlob();
-
-        uint32_t reloc_count = source.get32();
-        if (reloc_count > source.remaining() / 8)
-            return badValue(source,
-                            "declared " + std::to_string(reloc_count) +
-                                " relocations exceed the payload");
-        program.codeRelocs.reserve(reloc_count);
-        for (uint32_t i = 0; i < reloc_count; ++i) {
-            CodeReloc reloc;
-            reloc.dataOffset = source.get32();
-            reloc.targetIndex = source.get32();
-            program.codeRelocs.push_back(reloc);
-        }
-
-        uint32_t fn_count = source.get32();
-        for (uint32_t i = 0; i < fn_count; ++i) {
-            FunctionSymbol fn;
-            fn.name = source.getString();
-            fn.body = getRange(source);
-            fn.prologue = getRange(source);
-            uint32_t ep_count = source.get32();
-            if (ep_count > source.remaining() / 8)
-                return badValue(source,
-                                "declared " + std::to_string(ep_count) +
-                                    " epilogues exceed the payload");
-            fn.epilogues.reserve(ep_count);
-            for (uint32_t e = 0; e < ep_count; ++e)
-                fn.epilogues.push_back(getRange(source));
-            program.functions.push_back(std::move(fn));
-        }
-
-        program.entryIndex = source.get32();
-        if (!source.atEnd())
-            return LoadError{LoadStatus::TrailingBytes, source.pos(),
-                             source.context(),
-                             std::to_string(source.remaining()) +
-                                 " byte(s) after the program fields"};
-
-        program.computeDataBase();
-        if (std::optional<LoadError> error = program.validate())
-            return *error;
-        return program;
-    } catch (const LoadFailure &failure) {
-        return failure.error();
-    }
+    return program;
 }
 
 Program
 loadProgram(const std::vector<uint8_t> &bytes)
 {
-    Result<Program> result = tryLoadProgram(bytes);
-    if (!result.ok())
-        throw LoadFailure(result.error());
-    return result.take();
+    return tryLoadProgram(bytes).valueOrThrow();
 }
 
 std::vector<uint8_t>
@@ -225,69 +88,55 @@ saveImage(const compress::CompressedImage &image)
     sink.put32(image.entryPointNibble);
     sink.put32(image.originalTextBytes);
     sink.put32(image.farBranchExpansions);
-    return sealContainer(imageMagic, sink.take());
+    return sealEnvelope(imageMagic, formatVersion, sink.bytes());
 }
 
 Result<compress::CompressedImage>
 tryLoadImage(const std::vector<uint8_t> &bytes)
 {
-    std::vector<uint8_t> payload;
-    try {
-        if (std::optional<LoadError> error =
-                openContainer(bytes, imageMagic, ".cci image", payload))
+    Result<compress::CompressedImage> image = parseEnvelope(
+        bytes, imageMagic, formatVersion, ".cci image",
+        [](ByteSource &source) {
+            compress::CompressedImage image;
+            uint8_t scheme = source.get8();
+            const compress::SchemeCodec *codec =
+                compress::findSchemeCodec(scheme);
+            if (!codec)
+                source.fail(LoadStatus::BadValue,
+                            "bad scheme byte " + std::to_string(scheme));
+            image.scheme = codec->id();
+            image.textNibbles = source.get64();
+            image.text = source.getBlob();
+
+            uint32_t entries = source.get32();
+            if (entries > codec->params().maxCodewords)
+                source.fail(
+                    LoadStatus::BadValue,
+                    std::to_string(entries) +
+                        " dictionary entries exceed the scheme ceiling of " +
+                        std::to_string(codec->params().maxCodewords));
+            if (std::optional<std::string> detail = codec->getDictionary(
+                    source, entries, maxImageEntryWords,
+                    image.entriesByRank))
+                source.fail(LoadStatus::BadValue, std::move(*detail));
+
+            image.data = source.getBlob();
+            image.dataBase = source.get32();
+            image.entryPointNibble = source.get32();
+            image.originalTextBytes = source.get32();
+            image.farBranchExpansions = source.get32();
+            return image;
+        });
+    if (image.ok())
+        if (std::optional<LoadError> error = validateImage(image.value()))
             return *error;
-
-        ByteSource source(payload);
-        source.setContext(".cci payload");
-
-        compress::CompressedImage image;
-        uint8_t scheme = source.get8();
-        const compress::SchemeCodec *codec =
-            compress::findSchemeCodec(scheme);
-        if (!codec)
-            return badValue(source, "bad scheme byte " +
-                                        std::to_string(scheme));
-        image.scheme = codec->id();
-        image.textNibbles = source.get64();
-        image.text = source.getBlob();
-
-        uint32_t entries = source.get32();
-        if (entries > codec->params().maxCodewords)
-            return badValue(
-                source,
-                std::to_string(entries) +
-                    " dictionary entries exceed the scheme ceiling of " +
-                    std::to_string(codec->params().maxCodewords));
-        if (std::optional<std::string> detail = codec->getDictionary(
-                source, entries, maxImageEntryWords, image.entriesByRank))
-            return badValue(source, std::move(*detail));
-
-        image.data = source.getBlob();
-        image.dataBase = source.get32();
-        image.entryPointNibble = source.get32();
-        image.originalTextBytes = source.get32();
-        image.farBranchExpansions = source.get32();
-        if (!source.atEnd())
-            return LoadError{LoadStatus::TrailingBytes, source.pos(),
-                             source.context(),
-                             std::to_string(source.remaining()) +
-                                 " byte(s) after the image fields"};
-
-        if (std::optional<LoadError> error = validateImage(image))
-            return *error;
-        return image;
-    } catch (const LoadFailure &failure) {
-        return failure.error();
-    }
+    return image;
 }
 
 compress::CompressedImage
 loadImage(const std::vector<uint8_t> &bytes)
 {
-    Result<compress::CompressedImage> result = tryLoadImage(bytes);
-    if (!result.ok())
-        throw LoadFailure(result.error());
-    return result.take();
+    return tryLoadImage(bytes).valueOrThrow();
 }
 
 std::optional<LoadError>

@@ -12,16 +12,14 @@
  * executes, but the dictionary-usage analyses require the in-memory
  * result of compressProgram().
  *
- * Format v2 wraps the payload of both file types in an FNV-1a64
- * whole-payload checksum, so any byte-level corruption of a stored
- * file is rejected at load with a BadChecksum diagnostic. Loaded
- * payloads are then structurally validated (validateImage /
- * Program::validate) so that even a payload with a freshly recomputed
- * checksum -- or an in-memory image -- cannot reach the processors
- * with out-of-range dictionary indices, truncated streams, or branch
- * targets off item boundaries. The tryLoad* entry points report all of
- * this as typed LoadErrors; loadProgram/loadImage are thin throwing
- * wrappers.
+ * Both are sealed in the checksummed envelope (support/serialize.hh),
+ * so byte-level corruption is rejected at load. Loaded payloads are
+ * then structurally validated (validateImage / Program::validate), so
+ * even a payload with an honest checksum -- or an in-memory image --
+ * cannot reach the processors with out-of-range dictionary indices,
+ * truncated streams, or branch targets off item boundaries. The
+ * tryLoad* entry points report all of this as typed LoadErrors;
+ * loadProgram/loadImage are thin throwing wrappers.
  */
 
 #ifndef CODECOMP_COMPRESS_OBJFILE_HH

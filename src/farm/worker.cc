@@ -1,8 +1,8 @@
 #include "farm/worker.hh"
 
+#include <bit>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <thread>
 
 #include "compress/codec.hh"
@@ -15,33 +15,20 @@ namespace codecomp::farm {
 
 namespace {
 
-/**
- * Result-file layout (big-endian, support/serialize.hh):
- *
- *   u32  magic   "CCWR"
- *   u16  version (kWorkerVersion)
- *   blob payload (the serialized WorkerResult; doubles as raw bits)
- *   u64  checksum = fnv1a64(payload)
- */
+/** The result file is the serialized WorkerResult (doubles as raw
+ *  bits) sealed in the checksummed envelope; version 2 is the first
+ *  sealed in it. */
 constexpr uint32_t kWorkerMagic = 0x43435752; // "CCWR"
-constexpr uint16_t kWorkerVersion = 1;
+constexpr uint32_t kWorkerVersion = 2;
 
-uint64_t
-doubleBits(double value)
-{
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(value));
-    std::memcpy(&bits, &value, sizeof(bits));
-    return bits;
-}
-
-double
-bitsDouble(uint64_t bits)
-{
-    double value;
-    std::memcpy(&value, &bits, sizeof(value));
-    return value;
-}
+/** The worker's cache counters, in wire order. */
+using CacheStats = compress::PipelineCache::Stats;
+constexpr uint64_t CacheStats::*kCacheFields[] = {
+    &CacheStats::enumHits,      &CacheStats::enumMisses,
+    &CacheStats::selectHits,    &CacheStats::selectMisses,
+    &CacheStats::evictions,     &CacheStats::persistHits,
+    &CacheStats::persistMisses, &CacheStats::persistStores,
+    &CacheStats::persistCorrupt};
 
 void
 putStats(ByteSink &sink, const compress::PipelineStats &stats)
@@ -52,7 +39,7 @@ putStats(ByteSink &sink, const compress::PipelineStats &stats)
     sink.put32(static_cast<uint32_t>(stats.passes.size()));
     for (const compress::PassStats &pass : stats.passes) {
         sink.putString(pass.name);
-        sink.put64(doubleBits(pass.millis));
+        sink.put64(std::bit_cast<uint64_t>(pass.millis));
         sink.put32(static_cast<uint32_t>(pass.counters.size()));
         for (const auto &[name, value] : pass.counters) {
             sink.putString(name);
@@ -68,11 +55,12 @@ getStats(ByteSource &source)
     stats.strategy = source.getString();
     stats.scheme = source.getString();
     stats.selectionRounds = source.get32();
-    stats.passes.resize(source.get32());
+    // Name length, millis and counter count: 16 bytes at least.
+    stats.passes.resize(source.getCount(16, "passes"));
     for (compress::PassStats &pass : stats.passes) {
         pass.name = source.getString();
-        pass.millis = bitsDouble(source.get64());
-        pass.counters.resize(source.get32());
+        pass.millis = std::bit_cast<double>(source.get64());
+        pass.counters.resize(source.getCount(12, "counters"));
         for (auto &[name, value] : pass.counters) {
             name = source.getString();
             value = source.get64();
@@ -99,97 +87,47 @@ serializeWorkerResult(const WorkerResult &worker)
     payload.put64(r.totalBytes);
     payload.put64(r.textBytes);
     payload.put64(r.dictBytes);
-    payload.put64(doubleBits(r.ratio));
+    payload.put64(std::bit_cast<uint64_t>(r.ratio));
     payload.put32(r.farBranchExpansions);
     payload.putBlob(r.imageBytes);
     putStats(payload, r.stats);
-    payload.put64(doubleBits(r.millis));
-    const compress::PipelineCache::Stats &cs = worker.cacheStats;
-    for (uint64_t field :
-         {cs.enumHits, cs.enumMisses, cs.selectHits, cs.selectMisses,
-          cs.evictions, cs.persistHits, cs.persistMisses,
-          cs.persistStores, cs.persistCorrupt})
-        payload.put64(field);
-
-    ByteSink sink;
-    sink.put32(kWorkerMagic);
-    sink.put16(kWorkerVersion);
-    uint64_t checksum = fnv1a64(payload.bytes());
-    sink.putBlob(payload.take());
-    sink.put64(checksum);
-    return sink.take();
+    payload.put64(std::bit_cast<uint64_t>(r.millis));
+    for (uint64_t CacheStats::*field : kCacheFields)
+        payload.put64(worker.cacheStats.*field);
+    return sealEnvelope(kWorkerMagic, kWorkerVersion, payload.bytes());
 }
 
 Result<WorkerResult>
 parseWorkerResult(const std::vector<uint8_t> &bytes)
 {
-    try {
-        ByteSource source(bytes);
-        source.setContext("worker result header");
-        if (source.get32() != kWorkerMagic)
-            return LoadError{LoadStatus::BadMagic, 0,
-                             "worker result header",
-                             "not a worker result file"};
-        if (source.get16() != kWorkerVersion)
-            return LoadError{LoadStatus::BadVersion, 4,
-                             "worker result header",
-                             "unsupported worker result version"};
-        std::vector<uint8_t> payload = source.getBlob();
-        uint64_t checksum = source.get64();
-        if (!source.atEnd())
-            return LoadError{LoadStatus::TrailingBytes, source.pos(),
-                             "worker result", "trailing bytes"};
-        if (fnv1a64(payload) != checksum)
-            return LoadError{LoadStatus::BadChecksum, 0,
-                             "worker result payload",
-                             "payload checksum mismatch"};
-
-        ByteSource body(payload);
-        body.setContext("worker result payload");
-        WorkerResult worker;
-        FarmJobResult &r = worker.result;
-        r.id = body.getString();
-        r.workload = body.getString();
-        r.scheme = body.getString();
-        r.strategy = body.getString();
-        r.error = body.getString();
-        uint8_t kind = body.get8();
-        if (kind > static_cast<uint8_t>(FailureKind::SpecError))
-            return LoadError{LoadStatus::BadValue, body.pos(),
-                             "worker result payload",
-                             "failure kind out of range"};
-        r.failureKind = static_cast<FailureKind>(kind);
-        r.attempts = body.get32();
-        r.imageFnv64 = body.get64();
-        r.totalBytes = body.get64();
-        r.textBytes = body.get64();
-        r.dictBytes = body.get64();
-        r.ratio = bitsDouble(body.get64());
-        r.farBranchExpansions = body.get32();
-        r.imageBytes = body.getBlob();
-        r.stats = getStats(body);
-        r.millis = bitsDouble(body.get64());
-        for (uint64_t *field :
-             {&worker.cacheStats.enumHits, &worker.cacheStats.enumMisses,
-              &worker.cacheStats.selectHits,
-              &worker.cacheStats.selectMisses,
-              &worker.cacheStats.evictions,
-              &worker.cacheStats.persistHits,
-              &worker.cacheStats.persistMisses,
-              &worker.cacheStats.persistStores,
-              &worker.cacheStats.persistCorrupt})
-            *field = body.get64();
-        if (!body.atEnd())
-            return LoadError{LoadStatus::TrailingBytes, body.pos(),
-                             "worker result payload", "trailing bytes"};
-        return worker;
-    } catch (const LoadFailure &failure) {
-        return failure.error();
-    } catch (const std::exception &error) {
-        // bad_alloc from an absurd declared count, etc.
-        return LoadError{LoadStatus::BadValue, 0, "worker result",
-                         error.what()};
-    }
+    return parseEnvelope(
+        bytes, kWorkerMagic, kWorkerVersion, "worker result",
+        [](ByteSource &body) {
+            WorkerResult worker;
+            FarmJobResult &r = worker.result;
+            r.id = body.getString();
+            r.workload = body.getString();
+            r.scheme = body.getString();
+            r.strategy = body.getString();
+            r.error = body.getString();
+            uint8_t kind = body.get8();
+            if (kind > static_cast<uint8_t>(FailureKind::SpecError))
+                body.fail(LoadStatus::BadValue, "failure kind out of range");
+            r.failureKind = static_cast<FailureKind>(kind);
+            r.attempts = body.get32();
+            r.imageFnv64 = body.get64();
+            r.totalBytes = body.get64();
+            r.textBytes = body.get64();
+            r.dictBytes = body.get64();
+            r.ratio = std::bit_cast<double>(body.get64());
+            r.farBranchExpansions = body.get32();
+            r.imageBytes = body.getBlob();
+            r.stats = getStats(body);
+            r.millis = std::bit_cast<double>(body.get64());
+            for (uint64_t CacheStats::*field : kCacheFields)
+                worker.cacheStats.*field = body.get64();
+            return worker;
+        });
 }
 
 WorkerResult

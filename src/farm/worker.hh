@@ -12,8 +12,8 @@
  *
  * The file is written temp + atomic rename by the worker; the parent
  * treats it as untrusted (a worker may have been killed mid-write):
- * magic, version, whole-payload FNV-1a64 checksum, and structural
- * parsing all gate acceptance, and any deviation is a classified
+ * the checksummed envelope (support/serialize.hh) and structural
+ * parsing both gate acceptance, and any deviation is a classified
  * per-job LoadError failure, never a parent crash.
  */
 

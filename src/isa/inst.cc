@@ -4,24 +4,6 @@
 
 namespace codecomp::isa {
 
-namespace {
-
-/** Field extraction helpers (bit 0 = LSB here, unlike PowerPC docs). */
-constexpr uint8_t fieldRt(Word w) { return (w >> 21) & 0x1f; }
-constexpr uint8_t fieldRa(Word w) { return (w >> 16) & 0x1f; }
-constexpr uint8_t fieldRb(Word w) { return (w >> 11) & 0x1f; }
-constexpr uint8_t fieldCrf(Word w) { return (w >> 23) & 0x7; }
-constexpr uint16_t fieldUimm(Word w) { return w & 0xffff; }
-constexpr int32_t fieldSimm(Word w) { return signExtend(w & 0xffff, 16); }
-constexpr uint16_t fieldXo(Word w) { return (w >> 1) & 0x3ff; }
-constexpr uint16_t fieldSpr(Word w) { return (w >> 11) & 0x3ff; }
-constexpr uint8_t fieldSh(Word w) { return (w >> 11) & 0x1f; }
-constexpr uint8_t fieldMb(Word w) { return (w >> 6) & 0x1f; }
-constexpr uint8_t fieldMe(Word w) { return (w >> 1) & 0x1f; }
-constexpr bool fieldAa(Word w) { return (w >> 1) & 1; }
-constexpr bool fieldLk(Word w) { return w & 1; }
-
-/** True if this op's 16-bit immediate is sign-extended. */
 bool
 immIsSigned(Op op)
 {
@@ -41,6 +23,23 @@ immIsSigned(Op op)
         return false;
     }
 }
+
+namespace {
+
+/** Field extraction helpers (bit 0 = LSB here, unlike PowerPC docs). */
+constexpr uint8_t fieldRt(Word w) { return (w >> 21) & 0x1f; }
+constexpr uint8_t fieldRa(Word w) { return (w >> 16) & 0x1f; }
+constexpr uint8_t fieldRb(Word w) { return (w >> 11) & 0x1f; }
+constexpr uint8_t fieldCrf(Word w) { return (w >> 23) & 0x7; }
+constexpr uint16_t fieldUimm(Word w) { return w & 0xffff; }
+constexpr int32_t fieldSimm(Word w) { return signExtend(w & 0xffff, 16); }
+constexpr uint16_t fieldXo(Word w) { return (w >> 1) & 0x3ff; }
+constexpr uint16_t fieldSpr(Word w) { return (w >> 11) & 0x3ff; }
+constexpr uint8_t fieldSh(Word w) { return (w >> 11) & 0x1f; }
+constexpr uint8_t fieldMb(Word w) { return (w >> 6) & 0x1f; }
+constexpr uint8_t fieldMe(Word w) { return (w >> 1) & 0x1f; }
+constexpr bool fieldAa(Word w) { return (w >> 1) & 1; }
+constexpr bool fieldLk(Word w) { return w & 1; }
 
 Inst
 decodeDForm(Op op, Word w)

@@ -101,6 +101,11 @@ struct Inst
     bool isCall() const { return isBranch() && lk; }
 };
 
+/** True if @p op's 16-bit immediate is sign-extended (D-form
+ *  arithmetic, loads, stores, cmpi): exactly the ops that accept any
+ *  signed 16-bit immediate, such as a relocated address half. */
+bool immIsSigned(Op op);
+
 /** Decode a 32-bit instruction word. Unknown encodings yield Op::Illegal
  *  with the raw word preserved. */
 Inst decode(Word word);

@@ -25,19 +25,13 @@ loHalf(uint32_t addr)
     return static_cast<int32_t>(static_cast<int16_t>(addr & 0xffff));
 }
 
+/** Rewrite the imm or disp field of the instruction at @p index. */
 void
-patchImm(Program &program, uint32_t index, int32_t imm)
+patch(Program &program, uint32_t index, int32_t isa::Inst::*field,
+      int32_t value)
 {
     isa::Inst inst = isa::decode(program.text[index]);
-    inst.imm = imm;
-    program.text[index] = isa::encode(inst);
-}
-
-void
-patchDisp(Program &program, uint32_t index, int32_t disp)
-{
-    isa::Inst inst = isa::decode(program.text[index]);
-    inst.disp = disp;
+    inst.*field = value;
     program.text[index] = isa::encode(inst);
 }
 
@@ -107,26 +101,35 @@ linkModules(const std::vector<ObjectModule> &modules)
     };
 
     // _start calls main.
-    patchDisp(program, 0,
-              static_cast<int32_t>(entry_index("main", "_start")));
+    patch(program, 0, &isa::Inst::disp,
+          static_cast<int32_t>(entry_index("main", "_start")));
 
     program.computeDataBase();
+    // Code or data beyond the address space is the source's fault, not
+    // a linker bug: a user error, caught before any displacement is
+    // patched.
+    if (uint64_t{program.dataBase} + program.data.size() >
+        isa::addressSpaceBytes)
+        CC_FATAL("linked program of ", program.text.size(),
+                 " instructions and ", program.data.size(),
+                 " bytes of .data does not fit the ",
+                 isa::addressSpaceBytes, "-byte address space");
 
     for (size_t m = 0; m < modules.size(); ++m) {
         for (const CallReloc &reloc : modules[m].calls) {
             uint32_t site = text_base[m] + reloc.textIndex;
             uint32_t target = entry_index(reloc.callee, modules[m].name);
-            patchDisp(program, site,
-                      static_cast<int32_t>(target) -
-                          static_cast<int32_t>(site));
+            patch(program, site, &isa::Inst::disp,
+                  static_cast<int32_t>(target) -
+                      static_cast<int32_t>(site));
         }
         for (const DataReloc &reloc : modules[m].dataRefs) {
             uint32_t site = text_base[m] + reloc.textIndex;
             uint32_t addr =
                 program.dataBase + data_base[m] + reloc.dataOffset;
-            patchImm(program, site,
-                     reloc.half == DataReloc::Half::Ha ? haHalf(addr)
-                                                       : loHalf(addr));
+            patch(program, site, &isa::Inst::imm,
+                  reloc.half == DataReloc::Half::Ha ? haHalf(addr)
+                                                    : loHalf(addr));
         }
         for (const TableReloc &reloc : modules[m].tables) {
             program.codeRelocs.push_back(

@@ -68,8 +68,11 @@ struct ObjectModule
     std::vector<TableReloc> tables;
 };
 
-/** @{ On-disk .cco format. */
+/** @{ On-disk .cco format, sealed in the checksummed envelope.
+ *  tryLoadModule also rejects (BadValue) any module the linker could
+ *  not turn into a valid program; loadModule is its throwing wrapper. */
 std::vector<uint8_t> saveModule(const ObjectModule &module);
+Result<ObjectModule> tryLoadModule(const std::vector<uint8_t> &bytes);
 ObjectModule loadModule(const std::vector<uint8_t> &bytes);
 /** @} */
 

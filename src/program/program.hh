@@ -49,6 +49,21 @@ struct FunctionSymbol
     std::vector<InstRange> epilogues;  //!< restore templates (>= 1)
 };
 
+/** @{ The function-symbol table's wire form, shared by .ccp programs
+ *  and .cco modules: a count, then each function's name, body,
+ *  prologue and epilogue ranges. getFunctions throws LoadFailure. */
+void putFunctions(ByteSink &sink,
+                  const std::vector<FunctionSymbol> &functions);
+std::vector<FunctionSymbol> getFunctions(ByteSource &source);
+/** @} */
+
+/** Why @p functions do not fit a .text of @p textCount instructions
+ *  (a body outside .text, a prologue or epilogue outside its body),
+ *  or std::nullopt when every range nests. */
+std::optional<std::string>
+functionRangeError(const std::vector<FunctionSymbol> &functions,
+                   uint64_t textCount);
+
 /** A fully linked ppclite executable. */
 struct Program
 {

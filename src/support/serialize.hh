@@ -1,8 +1,9 @@
 /**
  * @file
- * Minimal big-endian binary serialization helpers used by the Program
- * and CompressedImage file formats (the on-disk interchange of the
- * minicc / ccompress / ccrun command-line tools).
+ * Minimal big-endian binary serialization helpers and the one
+ * checksummed file envelope shared by every file the toolchain reads:
+ * object modules (.cco), programs (.ccp), compressed images (.cci),
+ * farm worker results and persistent cache entries.
  *
  * Deserialization treats its input as untrusted: every structural
  * problem surfaces as a typed LoadError (status code, byte offset,
@@ -106,6 +107,16 @@ class Result
         return error_;
     }
 
+    /** The value, or the error thrown as a LoadFailure: the body of
+     *  every throwing loader wrapper. */
+    T
+    valueOrThrow() &&
+    {
+        if (!ok())
+            throw LoadFailure(error_);
+        return std::move(*value_);
+    }
+
   private:
     std::optional<T> value_;
     LoadError error_;
@@ -128,13 +139,6 @@ class ByteSink
     void put8(uint8_t value) { bytes_.push_back(value); }
 
     void
-    put16(uint16_t value)
-    {
-        put8(static_cast<uint8_t>(value >> 8));
-        put8(static_cast<uint8_t>(value));
-    }
-
-    void
     put32(uint32_t value)
     {
         put8(static_cast<uint8_t>(value >> 24));
@@ -150,19 +154,17 @@ class ByteSink
         put32(static_cast<uint32_t>(value));
     }
 
+    /** A u32 length, then the bytes: a string or a blob. */
+    template <typename Bytes>
     void
-    putString(const std::string &value)
+    putBytes(const Bytes &value)
     {
         put32(static_cast<uint32_t>(value.size()));
         bytes_.insert(bytes_.end(), value.begin(), value.end());
     }
 
-    void
-    putBlob(const std::vector<uint8_t> &value)
-    {
-        put32(static_cast<uint32_t>(value.size()));
-        bytes_.insert(bytes_.end(), value.begin(), value.end());
-    }
+    void putString(const std::string &value) { putBytes(value); }
+    void putBlob(const std::vector<uint8_t> &value) { putBytes(value); }
 
     const std::vector<uint8_t> &bytes() const { return bytes_; }
     std::vector<uint8_t> take() { return std::move(bytes_); }
@@ -183,24 +185,27 @@ class ByteSource
     explicit ByteSource(const std::vector<uint8_t> &bytes)
         : bytes_(bytes)
     {}
+    /** The source only refers to its bytes: a temporary would dangle. */
+    explicit ByteSource(std::vector<uint8_t> &&) = delete;
 
     /** Name the region being parsed; reported in truncation errors. */
     void setContext(std::string context) { context_ = std::move(context); }
     const std::string &context() const { return context_; }
 
+    /** Throw a LoadFailure at the current offset and context. */
+    [[noreturn]] void
+    fail(LoadStatus status, std::string detail) const
+    {
+        throw LoadFailure(
+            LoadError{status, pos_, context_, std::move(detail)});
+    }
+
     uint8_t
     get8()
     {
         if (pos_ >= bytes_.size())
-            failTruncated("input ended inside a 1-byte field");
+            fail(LoadStatus::Truncated, "input ended inside a 1-byte field");
         return bytes_[pos_++];
-    }
-
-    uint16_t
-    get16()
-    {
-        uint16_t value = get8();
-        return static_cast<uint16_t>((value << 8) | get8());
     }
 
     uint32_t
@@ -219,33 +224,34 @@ class ByteSource
         return value | get32();
     }
 
+    /**
+     * A declared element count, bounded by the remaining input at
+     * @p elementBytes bytes per element before any caller reserves
+     * for it: a lying count fails as BadValue instead of allocating.
+     */
+    uint32_t
+    getCount(size_t elementBytes, const char *what)
+    {
+        uint32_t count = get32();
+        if (count > remaining() / elementBytes)
+            fail(LoadStatus::BadValue, "declared " + std::to_string(count) +
+                                           " " + what +
+                                           " exceed the payload");
+        return count;
+    }
+
     std::string
     getString()
     {
-        uint32_t size = get32();
-        if (size > bytes_.size() - pos_)
-            failTruncated("declared string length " +
-                          std::to_string(size) + " exceeds remaining " +
-                          std::to_string(bytes_.size() - pos_) + " bytes");
-        std::string value(bytes_.begin() + static_cast<long>(pos_),
-                          bytes_.begin() + static_cast<long>(pos_ + size));
-        pos_ += size;
-        return value;
+        auto [first, last] = getBytes("string");
+        return std::string(first, last);
     }
 
     std::vector<uint8_t>
     getBlob()
     {
-        uint32_t size = get32();
-        if (size > bytes_.size() - pos_)
-            failTruncated("declared blob length " + std::to_string(size) +
-                          " exceeds remaining " +
-                          std::to_string(bytes_.size() - pos_) + " bytes");
-        std::vector<uint8_t> value(
-            bytes_.begin() + static_cast<long>(pos_),
-            bytes_.begin() + static_cast<long>(pos_ + size));
-        pos_ += size;
-        return value;
+        auto [first, last] = getBytes("blob");
+        return std::vector<uint8_t>(first, last);
     }
 
     bool atEnd() const { return pos_ == bytes_.size(); }
@@ -253,11 +259,19 @@ class ByteSource
     size_t remaining() const { return bytes_.size() - pos_; }
 
   private:
-    [[noreturn]] void
-    failTruncated(std::string detail) const
+    /** A u32 length and that many bytes, as a pointer range. */
+    std::pair<const uint8_t *, const uint8_t *>
+    getBytes(const char *what)
     {
-        throw LoadFailure(LoadError{LoadStatus::Truncated, pos_, context_,
-                                    std::move(detail)});
+        uint32_t size = get32();
+        if (size > remaining())
+            fail(LoadStatus::Truncated,
+                 std::string("declared ") + what + " length " +
+                     std::to_string(size) + " exceeds remaining " +
+                     std::to_string(remaining()) + " bytes");
+        const uint8_t *first = bytes_.data() + pos_;
+        pos_ += size;
+        return {first, first + size};
     }
 
     const std::vector<uint8_t> &bytes_;
@@ -265,12 +279,68 @@ class ByteSource
     std::string context_;
 };
 
+/**
+ * @{ The file envelope (big-endian):
+ *
+ *   u32 magic | u32 version | u64 fnv1a64(payload) | blob payload
+ *
+ * where a blob is a u32 length and that many bytes. sealEnvelope wraps
+ * a finished payload. openEnvelope returns the payload of an envelope
+ * that carries exactly @p magic and @p version, whose checksum holds
+ * and which ends with its payload; otherwise a LoadError: BadMagic at
+ * offset 0, BadVersion at 4, Truncated, TrailingBytes, or BadChecksum
+ * at 8. @p what names the file kind in diagnostics (".ccp program").
+ */
+std::vector<uint8_t> sealEnvelope(uint32_t magic, uint32_t version,
+                                  const std::vector<uint8_t> &payload);
+Result<std::vector<uint8_t>> openEnvelope(const std::vector<uint8_t> &bytes,
+                                          uint32_t magic, uint32_t version,
+                                          const char *what);
+/** @} */
+
+/**
+ * Every loader's shape: open the envelope and run @p parse, which
+ * returns the loaded value, over its payload. A LoadFailure thrown
+ * inside becomes the result's error; unread payload is TrailingBytes.
+ */
+template <typename Parse>
+auto
+parseEnvelope(const std::vector<uint8_t> &bytes, uint32_t magic,
+              uint32_t version, const char *what, Parse &&parse)
+    -> Result<decltype(parse(std::declval<ByteSource &>()))>
+{
+    Result<std::vector<uint8_t>> payload =
+        openEnvelope(bytes, magic, version, what);
+    if (!payload.ok())
+        return payload.error();
+    try {
+        ByteSource source(payload.value());
+        source.setContext(std::string(what) + " payload");
+        auto value = parse(source);
+        if (!source.atEnd())
+            source.fail(LoadStatus::TrailingBytes,
+                        std::to_string(source.remaining()) +
+                            " byte(s) after the payload fields");
+        return value;
+    } catch (const LoadFailure &failure) {
+        return failure.error();
+    }
+}
+
 /** @{ Hardened whole-file I/O: LoadStatus::IoError results carry the
  *  path and the strerror(errno) text, never abort. */
 Result<std::vector<uint8_t>> tryReadFile(const std::string &path);
 std::optional<LoadError> tryWriteFile(const std::string &path,
                                       const std::vector<uint8_t> &bytes);
 /** @} */
+
+/**
+ * Write @p bytes to a temporary file beside @p path and rename it into
+ * place, so a reader (or a crash mid-write) never sees a half-written
+ * file under @p path. On failure the temporary file is removed.
+ */
+std::optional<LoadError> tryWriteFileAtomic(const std::string &path,
+                                            const std::vector<uint8_t> &bytes);
 
 /** Read a whole file; throws LoadFailure on I/O errors. */
 std::vector<uint8_t> readFile(const std::string &path);

@@ -6,16 +6,23 @@
  *
  * The small-image suites are exhaustive (every truncation boundary,
  * every bit position); the benchmark suites sample mutants from the
- * seeded generator that also powers `ccverify --corrupt`.
+ * seeded generator that also powers `ccverify --corrupt`. The
+ * envelope suite runs one set of checks over every file format sealed
+ * in the shared checksummed envelope.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
 
 #include "codegen/codegen.hh"
 #include "compress/compressor.hh"
 #include "compress/objfile.hh"
 #include "decompress/compressed_cpu.hh"
 #include "decompress/cpu.hh"
+#include "farm/worker.hh"
+#include "link/object.hh"
 #include "support/rng.hh"
 #include "support/serialize.hh"
 #include "verify/fault.hh"
@@ -321,5 +328,148 @@ TEST(CorruptionCampaign, DeterministicInSeed)
     EXPECT_EQ(first.ranIdentical, second.ranIdentical);
     EXPECT_EQ(first.failures.size(), second.failures.size());
 }
+
+// ---------------- the shared file envelope, per format ----------------
+
+/** One file format sealed in the envelope: a small valid file, and
+ *  its public byte loader reduced to "the error, or none". */
+struct EnvelopeFormat
+{
+    const char *name;
+    std::vector<uint8_t> (*sample)();
+    std::optional<LoadError> (*load)(const std::vector<uint8_t> &);
+};
+
+template <typename T>
+std::optional<LoadError>
+errorOf(const Result<T> &result)
+{
+    if (result.ok())
+        return std::nullopt;
+    return result.error();
+}
+
+const EnvelopeFormat kEnvelopeFormats[] = {
+    {"cco",
+     [] {
+         return link::saveModule(codegen::compileModule(
+             "int twice(int x) { return x + x; }", "twice"));
+     },
+     [](const std::vector<uint8_t> &bytes) {
+         return errorOf(link::tryLoadModule(bytes));
+     }},
+    {"ccp", [] { return saveProgram(smallProgram()); },
+     [](const std::vector<uint8_t> &bytes) {
+         return errorOf(tryLoadProgram(bytes));
+     }},
+    {"cci",
+     [] { return saveImage(makeImage(smallProgram(), Scheme::Nibble)); },
+     [](const std::vector<uint8_t> &bytes) {
+         return errorOf(tryLoadImage(bytes));
+     }},
+    {"worker",
+     [] {
+         farm::WorkerResult worker;
+         worker.result.id = "compress/nibble/greedy";
+         worker.result.imageBytes = {1, 2, 3, 4, 5, 6, 7, 8};
+         worker.result.stats.passes.resize(1);
+         worker.result.stats.passes[0].counters = {{"kept", 3}};
+         return farm::serializeWorkerResult(worker);
+     },
+     [](const std::vector<uint8_t> &bytes) {
+         return errorOf(farm::parseWorkerResult(bytes));
+     }},
+};
+
+/** Envelope header: magic, version, checksum, payload length. */
+constexpr size_t kEnvelopeHeaderBytes = 20;
+
+class CorruptionEnvelope : public ::testing::TestWithParam<EnvelopeFormat>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        good_ = GetParam().sample();
+        ASSERT_GT(good_.size(), kEnvelopeHeaderBytes);
+        std::optional<LoadError> error = GetParam().load(good_);
+        ASSERT_FALSE(error) << error->message();
+    }
+
+    /** The loader's error on @p bytes; fails the test on acceptance. */
+    LoadError
+    rejection(const std::vector<uint8_t> &bytes) const
+    {
+        std::optional<LoadError> error = GetParam().load(bytes);
+        EXPECT_TRUE(error) << GetParam().name << " accepted a mutant";
+        return error.value_or(LoadError{});
+    }
+
+    std::vector<uint8_t> good_;
+};
+
+TEST_P(CorruptionEnvelope, EveryTruncationIsRejected)
+{
+    for (size_t len = 0; len < good_.size(); ++len)
+        EXPECT_TRUE(GetParam().load(std::vector<uint8_t>(
+            good_.begin(), good_.begin() + static_cast<long>(len))))
+            << "truncated to " << len << " of " << good_.size();
+}
+
+TEST_P(CorruptionEnvelope, SampledBitFlipsAreRejected)
+{
+    size_t stride = std::max<size_t>(1, good_.size() / 48);
+    for (size_t byte = 0; byte < good_.size(); byte += stride)
+        for (int bit = 0; bit < 8; ++bit) {
+            std::vector<uint8_t> mutant = good_;
+            mutant[byte] ^= static_cast<uint8_t>(1u << bit);
+            EXPECT_TRUE(GetParam().load(mutant))
+                << "flip of byte " << byte << " bit " << bit;
+        }
+}
+
+TEST_P(CorruptionEnvelope, OneTrailingByteIsTrailingBytes)
+{
+    std::vector<uint8_t> bad = good_;
+    bad.push_back(0);
+    EXPECT_EQ(rejection(bad).status, LoadStatus::TrailingBytes);
+}
+
+TEST_P(CorruptionEnvelope, OtherFormatsAreBadMagicAtZero)
+{
+    for (const EnvelopeFormat &other : kEnvelopeFormats) {
+        if (std::string(other.name) == GetParam().name)
+            continue;
+        std::optional<LoadError> error = other.load(good_);
+        ASSERT_TRUE(error) << other.name << " loaded a " << GetParam().name;
+        EXPECT_EQ(error->status, LoadStatus::BadMagic) << other.name;
+        EXPECT_EQ(error->offset, 0u) << other.name;
+    }
+}
+
+TEST_P(CorruptionEnvelope, VersionSkewIsBadVersionAtFour)
+{
+    std::vector<uint8_t> bad = good_;
+    bad[7] ^= 0x01;
+    LoadError error = rejection(bad);
+    EXPECT_EQ(error.status, LoadStatus::BadVersion);
+    EXPECT_EQ(error.offset, 4u);
+}
+
+TEST_P(CorruptionEnvelope, PayloadFlipIsBadChecksumAtEight)
+{
+    std::vector<uint8_t> bad = good_;
+    bad[kEnvelopeHeaderBytes + (bad.size() - kEnvelopeHeaderBytes) / 2] ^=
+        0x10;
+    LoadError error = rejection(bad);
+    EXPECT_EQ(error.status, LoadStatus::BadChecksum);
+    EXPECT_EQ(error.offset, 8u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFormats, CorruptionEnvelope, ::testing::ValuesIn(kEnvelopeFormats),
+    [](const ::testing::TestParamInfo<EnvelopeFormat> &info) {
+        return std::string(info.param.name);
+    });
 
 } // namespace

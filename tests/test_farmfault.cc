@@ -402,12 +402,29 @@ TEST(WorkerProtocol, RejectsDamageAnywhere)
     std::vector<uint8_t> trailing = good;
     trailing.push_back(0x00);
     EXPECT_FALSE(farm::parseWorkerResult(trailing).ok());
-    // An out-of-range failure kind must be rejected even though the
-    // checksum would need recomputing to reach it honestly; damage
-    // the kind byte and expect the checksum gate to hold.
+    // A version skew must be rejected.
     std::vector<uint8_t> skewed = good;
-    skewed[5] ^= 0xff; // version word
+    skewed[5] ^= 0xff; // the version word
     EXPECT_FALSE(farm::parseWorkerResult(skewed).ok());
+    // An out-of-range failure kind must be rejected by the payload
+    // parser itself: seal a payload whose kind byte (after the five
+    // leading strings) is one past SpecError, so the checksum holds.
+    constexpr uint32_t workerMagic = 0x43435752; // "CCWR"
+    std::vector<uint8_t> payload =
+        openEnvelope(good, workerMagic, 2, "worker result").valueOrThrow();
+    const farm::WorkerResult sample = sampleWorkerResult();
+    const farm::FarmJobResult &r = sample.result;
+    size_t kind_at = 0;
+    for (const std::string *field :
+         {&r.id, &r.workload, &r.scheme, &r.strategy, &r.error})
+        kind_at += 4 + field->size();
+    ASSERT_EQ(payload[kind_at], static_cast<uint8_t>(r.failureKind));
+    payload[kind_at] = static_cast<uint8_t>(farm::FailureKind::SpecError) + 1;
+    Result<farm::WorkerResult> parsed =
+        farm::parseWorkerResult(sealEnvelope(workerMagic, 2, payload));
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.error().status, LoadStatus::BadValue);
+    EXPECT_EQ(parsed.error().detail, "failure kind out of range");
 }
 
 // ---------------- crash-safe persistent cache ----------------

@@ -12,6 +12,7 @@
 #include "compress/compressor.hh"
 #include "decompress/compressed_cpu.hh"
 #include "decompress/cpu.hh"
+#include "isa/builder.hh"
 #include "link/linker.hh"
 #include "workloads/workloads.hh"
 
@@ -173,6 +174,25 @@ TEST(Linker, LinkedProgramsCompressAndExecute)
     EXPECT_EQ(runCompressed(image).exitCode, reference.exitCode);
 }
 
+TEST(Linker, ProgramBeyondTheAddressSpaceIsAUserError)
+{
+    // 12 MB of .data cannot fit the 8 MiB address space: a fatal user
+    // error (tool exit 1), not Program::finalize's panic (exit 3).
+    std::vector<ObjectModule> modules = {codegen::compileModule(
+        "int big[3000000]; int main() { return big[5]; }", "big")};
+    PanicTrap trap;
+    try {
+        linkModules(modules);
+        FAIL() << "linked a program larger than the address space";
+    } catch (const PanicError &error) {
+        FAIL() << "panicked: " << error.what();
+    } catch (const std::runtime_error &error) {
+        EXPECT_NE(std::string(error.what()).find("does not fit"),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
 TEST(ObjectFile, ModuleRoundTrip)
 {
     ObjectModule module = codegen::compileModule(appModule, "app");
@@ -203,6 +223,156 @@ TEST(ObjectFile, RejectsWrongMagic)
     std::vector<uint8_t> bytes = saveModule(module);
     bytes[3] ^= 0xff;
     EXPECT_THROW(loadModule(bytes), std::runtime_error);
+}
+
+TEST(ObjectFile, EveryWorkloadModuleLoadsAndLinksUnchanged)
+{
+    // The loader's checks accept everything codegen emits: each
+    // workload module and the runtime survive a .cco round trip, and
+    // link to the program built from the in-memory modules.
+    for (const std::string &name : workloads::benchmarkNames()) {
+        std::vector<ObjectModule> built = {
+            codegen::compileModule(workloads::benchmarkSource(name), name),
+            codegen::runtimeModule()};
+        std::vector<ObjectModule> loaded;
+        for (const ObjectModule &module : built) {
+            Result<ObjectModule> result = tryLoadModule(saveModule(module));
+            ASSERT_TRUE(result.ok())
+                << name << ": " << result.error().message();
+            loaded.push_back(result.take());
+        }
+        Program a = linkModules(built);
+        Program b = linkModules(loaded);
+        EXPECT_EQ(a.text, b.text) << name;
+        EXPECT_EQ(a.data, b.data) << name;
+    }
+}
+
+/** tryLoadModule's verdict on @p module, saved with an honest
+ *  checksum; expects a BadValue and returns its detail. */
+std::string
+badValueDetail(const ObjectModule &module)
+{
+    Result<ObjectModule> result = tryLoadModule(saveModule(module));
+    if (result.ok())
+        return "accepted";
+    EXPECT_EQ(result.error().status, LoadStatus::BadValue)
+        << result.error().message();
+    return result.error().detail;
+}
+
+TEST(ObjectFile, CallRelocationPastTextIsRejected)
+{
+    // The linker patches text_base + textIndex: one past the module's
+    // .text used to write outside the linked program.
+    ObjectModule module = codegen::compileModule(appModule, "app");
+    ASSERT_FALSE(module.calls.empty());
+    module.calls[0].textIndex = static_cast<uint32_t>(module.text.size());
+    EXPECT_EQ(badValueDetail(module),
+              "call relocation outside .text at " +
+                  std::to_string(module.text.size()));
+}
+
+TEST(ObjectFile, RelocationsAndRangesOutsideTheirSectionsAreRejected)
+{
+    const ObjectModule good = codegen::compileModule(appModule, "app");
+    ASSERT_TRUE(tryLoadModule(saveModule(good)).ok());
+    ASSERT_FALSE(good.dataRefs.empty());
+    ASSERT_FALSE(good.functions.empty());
+    uint32_t text_size = static_cast<uint32_t>(good.text.size());
+    uint32_t data_size = static_cast<uint32_t>(good.data.size());
+
+    ObjectModule m = good;
+    m.dataRefs[0].textIndex = text_size;
+    EXPECT_NE(badValueDetail(m).find("data relocation outside .text"),
+              std::string::npos);
+
+    m = good;
+    m.dataRefs[0].dataOffset = data_size;
+    EXPECT_NE(badValueDetail(m).find("data relocation outside .data"),
+              std::string::npos);
+
+    // A table word needs 4 bytes: its slot may not start in the last 3.
+    m = good;
+    m.tables.push_back({data_size - 3, 0});
+    EXPECT_NE(badValueDetail(m).find("table relocation outside .data"),
+              std::string::npos);
+    m = good;
+    m.tables.push_back({0, text_size});
+    EXPECT_NE(badValueDetail(m).find("table relocation target"),
+              std::string::npos);
+
+    m = good;
+    m.functions[0].body.count = text_size + 1 - m.functions[0].body.first;
+    EXPECT_NE(badValueDetail(m).find("outside .text"), std::string::npos);
+
+    m = good;
+    m.functions.push_back({"empty", {text_size, 0}, {}, {}});
+    EXPECT_NE(badValueDetail(m).find("has no entry"), std::string::npos);
+
+    m = good;
+    m.functions[0].prologue = {m.functions[0].body.first +
+                                   m.functions[0].body.count,
+                               1};
+    EXPECT_NE(badValueDetail(m).find("prologue outside"),
+              std::string::npos);
+
+    m = good;
+    m.functions[0].epilogues.push_back({text_size, 1});
+    EXPECT_NE(badValueDetail(m).find("epilogue outside"),
+              std::string::npos);
+
+    // Relocation sites of the wrong kind would trip the encoder's
+    // field-range checks when the linker patches them.
+    m = good;
+    m.calls[0].textIndex = m.dataRefs[0].textIndex;
+    EXPECT_NE(badValueDetail(m).find("not on a bl"), std::string::npos);
+    m = good;
+    m.dataRefs[0].textIndex = m.calls[0].textIndex;
+    EXPECT_NE(badValueDetail(m).find("not on a signed immediate"),
+              std::string::npos);
+
+    m = good;
+    m.text[0] = 0; // primary opcode 0: illegal
+    EXPECT_NE(badValueDetail(m).find("illegal instruction"),
+              std::string::npos);
+}
+
+TEST(ObjectFile, LyingCountIsRejectedBeforeAllocating)
+{
+    // Re-seal a payload whose instruction count claims far more words
+    // than the payload holds: a clean BadValue, no reserve of 16 GiB.
+    ObjectModule module = codegen::compileModule(mathModule, "math");
+    std::vector<uint8_t> payload =
+        openEnvelope(saveModule(module), 0x4343434f, 2, ".cco module")
+            .valueOrThrow();
+    size_t count_at = 4 + module.name.size();
+    for (size_t i = 0; i < 4; ++i)
+        payload[count_at + i] = 0xff;
+    Result<ObjectModule> result =
+        tryLoadModule(sealEnvelope(0x4343434f, 2, payload));
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().status, LoadStatus::BadValue);
+    EXPECT_NE(result.error().detail.find("instructions exceed"),
+              std::string::npos);
+}
+
+TEST(ObjectFile, SealedModuleBranchingOutsideItselfIsALoadError)
+{
+    // A checksum-valid module whose branch leaves it would link into a
+    // program Program::finalize panics on; it must fail at load, as a
+    // user error (cclink exit 1), not as a linker panic (exit 3).
+    ObjectModule module = codegen::compileModule(mathModule, "math");
+    module.text[0] = isa::encode(
+        isa::b(static_cast<int32_t>(module.text.size()) + 5));
+    std::vector<uint8_t> bytes = saveModule(module);
+    EXPECT_EQ(badValueDetail(module), "branch leaving the module at 0");
+    try {
+        loadModule(bytes);
+        FAIL() << "loadModule accepted a branch out of the module";
+    } catch (const LoadFailure &failure) {
+        EXPECT_EQ(failure.error().status, LoadStatus::BadValue);
+    }
 }
 
 } // namespace

@@ -146,9 +146,9 @@ runWorker(int argc, char **argv)
 
     farm::WorkerResult result =
         farm::runWorkerJob(jobs[0], cacheDir, keepImages, inject);
-    std::string tmpPath = outPath + ".tmp";
-    writeFile(tmpPath, farm::serializeWorkerResult(result));
-    std::filesystem::rename(tmpPath, outPath);
+    if (std::optional<LoadError> error = tryWriteFileAtomic(
+            outPath, farm::serializeWorkerResult(result)))
+        throw LoadFailure(*error);
     return tools::exitOk;
 }
 
@@ -334,7 +334,7 @@ runCorruptCacheCampaign(const std::vector<farm::FarmJob> &jobs,
           case 1: // truncate mid-file
             bytes.resize(bytes.size() / 2);
             break;
-          case 2: // version skew (the u16 after the 4-byte magic)
+          case 2: // version skew (inside the u32 after the magic)
             bytes[5] ^= 0xff;
             break;
         }
